@@ -2,8 +2,9 @@
 
 Everything is sized for small volumetric-slice networks: batched 2D
 convolution with a ceil-mode "same" padding rule, elementwise gates,
-fully-connected layers, softmax cross-entropy, Adam, and a central
-finite-difference gradient checker.
+fully-connected layers, a peephole ConvLSTM recurrence over small state
+maps, softmax cross-entropy, Adam, and a central finite-difference
+gradient checker.
 """
 from __future__ import annotations
 
@@ -102,9 +103,14 @@ def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _needs_grad(t):
+    """True when a backward pass must deliver a gradient to `t`."""
+    return t.requires_grad or bool(t._parents)
+
+
 def _make(data, parents, backward):
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad or p._parents for p in parents):
+    if _grad_enabled and any(_needs_grad(p) for p in parents):
         out._parents = tuple(parents)
         out._backward = backward
         out.requires_grad = any(p.requires_grad for p in parents)
@@ -157,24 +163,19 @@ def hadamard(a, b):
     return _make(a.data * b.data, (a, b), backward)
 
 
-def scale(a, c):
-    a = _as_tensor(a)
-    c = float(c)
-
-    def backward(g):
-        a.accumulate(c * g)
-
-    return _make(a.data * c, (a,), backward)
-
-
-def sigmoid(a):
-    a = _as_tensor(a)
-    x = a.data
+def _logistic(x):
+    """Plain numpy sigmoid, split at 0 so that exp never overflows."""
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def sigmoid(a):
+    a = _as_tensor(a)
+    out = _logistic(a.data)
 
     def backward(g):
         a.accumulate(g * out * (1.0 - out))
@@ -225,21 +226,6 @@ def reshape(a, shape):
         a.accumulate(g.reshape(a.shape))
 
     return _make(a.data.reshape(shape), (a,), backward)
-
-
-def select(a, index, axis=1):
-    """Take a single slice along `axis` (used to step through a sequence)."""
-    a = _as_tensor(a)
-    idx = [slice(None)] * a.ndim
-    idx[axis] = index
-    idx = tuple(idx)
-
-    def backward(g):
-        full = np.zeros(a.shape)
-        full[idx] = g
-        a.accumulate(full)
-
-    return _make(a.data[idx], (a,), backward)
 
 
 def mean_axis(a, axis):
@@ -304,19 +290,20 @@ def conv2d(x, kernels, bias=None, stride=2):
         if squeeze:
             g = g[None]
         gf = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(co, B * ho * wo)
-        if kernels.requires_grad or kernels._parents:
+        if _needs_grad(kernels):
             kernels.accumulate((gf @ cols.T).reshape(kernels.shape))
-        if bias is not None and (bias.requires_grad or bias._parents):
+        if bias is not None and _needs_grad(bias):
             bias.accumulate(gf.sum(axis=1))
-        dcols = (wf.T @ gf).reshape(ci, kh, kw, B, ho, wo).transpose(3, 0, 1, 2, 4, 5)
-        dxp = np.zeros((B, ci, Hp, Wp))
-        for i in range(kh):
-            for j in range(kw):
-                dxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += dcols[
-                    :, :, i, j
-                ]
-        dx = dxp[:, :, pl_h : Hp - ph_h or None, pl_w : Wp - ph_w or None]
-        x.accumulate(dx[0] if squeeze else dx)
+        if _needs_grad(x):
+            dcols = (wf.T @ gf).reshape(ci, kh, kw, B, ho, wo).transpose(3, 0, 1, 2, 4, 5)
+            dxp = np.zeros((B, ci, Hp, Wp))
+            for i in range(kh):
+                for j in range(kw):
+                    dxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += (
+                        dcols[:, :, i, j]
+                    )
+            dx = dxp[:, :, pl_h : Hp - ph_h or None, pl_w : Wp - ph_w or None]
+            x.accumulate(dx[0] if squeeze else dx)
 
     return _make(out[0] if squeeze else out, parents, backward)
 
@@ -335,13 +322,178 @@ def fully_connected(x, weight, bias):
     def backward(g):
         if squeeze:
             g = g[None]
-        if weight.requires_grad or weight._parents:
+        if _needs_grad(weight):
             weight.accumulate(g.T @ xd)
-        if bias.requires_grad or bias._parents:
+        if _needs_grad(bias):
             bias.accumulate(g.sum(axis=0))
         x.accumulate((g @ weight.data)[0] if squeeze else g @ weight.data)
 
     return _make(out[0] if squeeze else out, (x, weight, bias), backward)
+
+
+def _conv_taps(h, w, kh, kw):
+    """(P, P) kernel tap linking input cell q (row) to output cell p (column).
+
+    P = h*w cells in row-major order; the tap is u*kw + v of a stride-1
+    "same" (kh, kw) kernel, or kh*kw where the kernel does not reach.
+    """
+    rows, cols = np.divmod(np.arange(h * w), w)
+    u = rows[:, None] - rows[None, :] + same_ceil_padding(h, kh, 1)[0]
+    v = cols[:, None] - cols[None, :] + same_ceil_padding(w, kw, 1)[0]
+    inside = (u >= 0) & (u < kh) & (v >= 0) & (v < kw)
+    return np.where(inside, u * kw + v, kh * kw)
+
+
+def _unroll(kernels, taps):
+    """G (O, C, kh, kw) kernels as one dense (C*P, P*G*O) matrix.
+
+    Rows are (c, q) and columns (p, gate, o): a channel-first input row
+    times the matrix gives all G stride-1 "same" convs, channels-last.
+    """
+    w = np.stack([k.data for k in kernels])
+    g, o, c, kh, kw = w.shape
+    table = np.zeros((c, kh * kw + 1, g * o))  # the last tap stays zero
+    table[:, :-1] = w.transpose(2, 3, 4, 0, 1).reshape(c, kh * kw, g * o)
+    return np.take(table, taps, axis=1).reshape(c * len(taps), -1)
+
+
+def _fold(dense, taps, kernels):
+    """Adjoint of _unroll: accumulate a dense-matrix gradient into the kernels."""
+    o, c, kh, kw = kernels[0].shape
+    p = len(taps)
+    blocks = dense.reshape(c, p, p, -1)
+    table = np.zeros((c, kh * kw + 1, blocks.shape[-1]))
+    for q in range(p):
+        for r in range(p):
+            table[:, taps[q, r]] += blocks[:, q, r]
+    grads = table[:, :-1].reshape(c, kh, kw, len(kernels), o).transpose(3, 4, 0, 1, 2)
+    # C order, as the optimizer's moments are: mixed layouts slow Adam down
+    for k, grad in zip(kernels, np.ascontiguousarray(grads)):
+        if _needs_grad(k):
+            k.accumulate(grad)
+
+
+def convlstm(x, kernels_x, kernels_h, peepholes, biases, h0=None, c0=None):
+    """Peephole ConvLSTM over a (B, T, C, H, W) sequence; returns the final (h, c).
+
+    Gates in the order i, f, c, o. kernels_x and kernels_h hold one
+    (C, C, kh, kw) stride-1 "same" kernel per gate, peepholes the
+    (C, H, W) Hadamard weights of i, f and o, biases one (C,) vector per
+    gate. With * a conv and . a Hadamard product, each step computes
+        i = sigmoid(W_xi * x + W_hi * h + w_ci . c + b_i)
+        f = sigmoid(W_xf * x + W_hf * h + w_cf . c + b_f)
+        c' = f . c + i . tanh(W_xc * x + W_hc * h + b_c)
+        o = sigmoid(W_xo * x + W_ho * h + w_co . c' + b_o)
+        h' = o . tanh(c')
+    from (B, C, H, W) start states h0 and c0; None starts from zeros.
+
+    On a small state map of P = H*W cells each conv is a dense map, so
+    the kernels are unrolled into two (C*P, 4*C*P) matrices on every
+    call and never stored. The input projection of all B*T steps is one
+    GEMM, each step adds one recurrent GEMM and the gate arithmetic, and
+    the backward forms each weight gradient with one GEMM over all steps.
+    The two outputs share one forward; each runs the reverse walk for
+    its own gradient, which sums correctly because the walk is linear.
+    """
+    x = _as_tensor(x)
+    kernels_x = [_as_tensor(k) for k in kernels_x]
+    kernels_h = [_as_tensor(k) for k in kernels_h]
+    peepholes = [_as_tensor(p) for p in peepholes]
+    biases = [_as_tensor(b) for b in biases]
+    h0, c0 = (None if s is None else _as_tensor(s) for s in (h0, c0))
+    starts = [s for s in (h0, c0) if s is not None]
+    if x.ndim != 5 or x.shape[1] < 1:
+        raise EngineError("convlstm expects a (B, T, C, H, W) input with T >= 1")
+    B, T, C, H, W = x.shape
+    P = H * W
+    if kernels_x[0].shape[:2] != (C, C):
+        raise EngineError(f"convlstm kernels {kernels_x[0].shape} do not fit {C} channels")
+    taps = _conv_taps(H, W, *kernels_x[0].shape[2:])
+    parents = (x, *kernels_x, *kernels_h, *peepholes, *biases, *starts)
+    record = _grad_enabled and any(_needs_grad(p) for p in parents)
+
+    def channels_last(s):  # (B, C, H, W) -> (B, P, C) view
+        return s.reshape(B, C, P).transpose(0, 2, 1)
+
+    def channels_first(s):  # (B, P, C) -> contiguous (B, C*P) rows
+        return s.transpose(0, 2, 1).reshape(B, C * P)
+
+    wx = _unroll(kernels_x, taps)
+    wh = _unroll(kernels_h, taps)
+    peep = [p.data.reshape(C, P).T for p in peepholes]
+    xs = np.ascontiguousarray(x.data.transpose(1, 0, 2, 3, 4)).reshape(T * B, C * P)
+    # time-major pre-activations; each step overwrites its own with the gates
+    z = (xs @ wx).reshape(T, B, P, 4, C)
+    z += np.stack([b.data for b in biases])
+    h = None if h0 is None else channels_last(h0.data)
+    c = np.zeros((B, P, C)) if c0 is None else channels_last(c0.data)
+    if record:
+        h_rows = np.zeros((T, B, C * P))
+        cells = np.empty((T + 1, B, P, C))
+        cells[0] = c
+    for t in range(T):
+        zt = z[t]
+        if h is not None:
+            h_row = channels_first(h)
+            zt += (h_row @ wh).reshape(B, P, 4, C)
+            if record:
+                h_rows[t] = h_row
+        i = _logistic(zt[:, :, 0] + peep[0] * c)
+        f = _logistic(zt[:, :, 1] + peep[1] * c)
+        g = np.tanh(zt[:, :, 2])
+        c = f * c + i * g
+        o = _logistic(zt[:, :, 3] + peep[2] * c)
+        h = o * np.tanh(c)
+        zt[:, :, 0], zt[:, :, 1], zt[:, :, 2], zt[:, :, 3] = i, f, g, o
+        if record:
+            cells[t + 1] = c
+
+    def reverse(dh_out, dc_out):
+        dh = np.zeros((B, P, C)) if dh_out is None else channels_last(dh_out)
+        dc = np.zeros((B, P, C)) if dc_out is None else channels_last(dc_out)
+        dz = np.empty_like(z)
+        dpeep = [np.zeros((P, C)) for _ in peep]
+        # h0 gets no recurrent GEMM when it is absent or needs no gradient
+        first = 0 if h0 is not None and _needs_grad(h0) else 1
+        for t in reversed(range(T)):
+            i, f, g, o = (z[t, :, :, k] for k in range(4))
+            c_prev, c_t = cells[t], cells[t + 1]
+            tc = np.tanh(c_t)
+            dzo = dh * tc * o * (1.0 - o)
+            dc = dc + dh * o * (1.0 - tc * tc) + dzo * peep[2]
+            dzi = dc * g * i * (1.0 - i)
+            dzf = dc * c_prev * f * (1.0 - f)
+            dz[t, :, :, 0], dz[t, :, :, 1], dz[t, :, :, 3] = dzi, dzf, dzo
+            dz[t, :, :, 2] = dc * i * (1.0 - g * g)
+            dpeep[0] += (dzi * c_prev).sum(axis=0)
+            dpeep[1] += (dzf * c_prev).sum(axis=0)
+            dpeep[2] += (dzo * c_t).sum(axis=0)
+            dc = dc * f + dzi * peep[0] + dzf * peep[1]
+            if t >= first:
+                dh = channels_last((dz[t].reshape(B, -1) @ wh.T).reshape(B, C, H, W))
+        dz_rows = dz.reshape(T * B, -1)
+        if any(_needs_grad(k) for k in kernels_x):
+            _fold(xs.T @ dz_rows, taps, kernels_x)
+        if any(_needs_grad(k) for k in kernels_h):
+            s = 0 if h0 is not None else 1  # without h0 the first step has no h
+            _fold(h_rows[s:].reshape(-1, C * P).T @ dz[s:].reshape(-1, 4 * C * P), taps, kernels_h)
+        if _needs_grad(x):
+            dx = (dz_rows @ wx.T).reshape(T, B, C, H, W)
+            x.accumulate(dx.transpose(1, 0, 2, 3, 4))
+        for b, db in zip(biases, dz.sum(axis=(0, 1, 2))):
+            if _needs_grad(b):
+                b.accumulate(db)
+        for p, dp in zip(peepholes, dpeep):
+            if _needs_grad(p):
+                p.accumulate(dp.T.reshape(C, H, W))
+        if h0 is not None and _needs_grad(h0):
+            h0.accumulate(channels_first(dh).reshape(B, C, H, W))
+        if c0 is not None and _needs_grad(c0):
+            c0.accumulate(channels_first(dc).reshape(B, C, H, W))
+
+    h_out = _make(channels_first(h).reshape(B, C, H, W), parents, lambda g: reverse(g, None))
+    c_out = _make(channels_first(c).reshape(B, C, H, W), parents, lambda g: reverse(None, g))
+    return h_out, c_out
 
 
 def softmax(logits):

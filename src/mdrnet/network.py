@@ -7,8 +7,15 @@ stack is positively homogeneous, so without that last step the feature
 scale grows with the product of the layer weight norms during training
 and saturates every ConvLSTM gate. The ConvLSTM consumes the 3k feature
 maps in sequence; its final cell state, flattened to 1024 values, is the
-shape descriptor. The discriminator is a 3-layer MLP emitting N+1 logits
-(the extra class marks a descriptor as too ambiguous to label).
+shape descriptor. On the 2x2 state map each 3x3 "same" gate conv is
+exactly a dense map, so the recurrence runs as dense gate GEMMs
+(`engine.convlstm`): the four input kernels and the four recurrent
+kernels are unrolled into two (1024, 4096) matrices on every forward,
+the input projection of all B*3k slices is one GEMM, and each step adds
+one recurrent GEMM and the gate arithmetic. The matrices are derived
+from the 15 stored ConvLSTM tensors and never saved. The discriminator
+is a 3-layer MLP emitting N+1 logits (the extra class marks a
+descriptor as too ambiguous to label).
 """
 from __future__ import annotations
 
@@ -183,34 +190,28 @@ def encode_slice(params: SliceEncoderParams, slice_input, slope=LEAKY_SLOPE):
     return engine.rms_normalize(x, axes=(-3, -2, -1))
 
 
-def convlstm_step(params: ConvLstmParams, x_t, h_prev, c_prev):
-    """One peephole ConvLSTM transition; states keep the input's shape."""
-    conv = lambda inp, w: engine.conv2d(inp, w, None, stride=1)
-    had = engine.hadamard
-
-    def gate_bias(pre, b):
-        # per-channel bias broadcast over the spatial cells
-        return engine.add(pre, engine.reshape(b, (b.shape[0], 1, 1)))
-
-    i_pre = engine.add(conv(x_t, params.w_xi), conv(h_prev, params.w_hi))
-    i_pre = engine.add(i_pre, had(params.w_ci, c_prev))
-    i_t = engine.sigmoid(gate_bias(i_pre, params.b_i))
-
-    f_pre = engine.add(conv(x_t, params.w_xf), conv(h_prev, params.w_hf))
-    f_pre = engine.add(f_pre, had(params.w_cf, c_prev))
-    f_t = engine.sigmoid(gate_bias(f_pre, params.b_f))
-
-    g_pre = engine.add(conv(x_t, params.w_xc), conv(h_prev, params.w_hc))
-    c_t = engine.add(
-        had(f_t, c_prev), had(i_t, engine.tanh(gate_bias(g_pre, params.b_c)))
+def _recurrence(params: ConvLstmParams, features, h0=None, c0=None):
+    """Final (h, c) of the ConvLSTM over (B, T, C, H, W) features."""
+    p = params
+    return engine.convlstm(
+        features,
+        (p.w_xi, p.w_xf, p.w_xc, p.w_xo),
+        (p.w_hi, p.w_hf, p.w_hc, p.w_ho),
+        (p.w_ci, p.w_cf, p.w_co),
+        (p.b_i, p.b_f, p.b_c, p.b_o),
+        h0,
+        c0,
     )
 
-    o_pre = engine.add(conv(x_t, params.w_xo), conv(h_prev, params.w_ho))
-    o_pre = engine.add(o_pre, had(params.w_co, c_t))
-    o_t = engine.sigmoid(gate_bias(o_pre, params.b_o))
 
-    h_t = had(o_t, engine.tanh(c_t))
-    return h_t, c_t
+def convlstm_step(params: ConvLstmParams, x_t, h_prev, c_prev):
+    """One peephole ConvLSTM transition of (B, C, H, W) input and states.
+
+    A length-1 run of the same recurrence as run_convlstm, started from
+    the given states.
+    """
+    features = engine.reshape(x_t, (x_t.shape[0], 1, *x_t.shape[1:]))
+    return _recurrence(params, features, h_prev, c_prev)
 
 
 def run_convlstm(params: ConvLstmParams, features, readout="cell"):
@@ -221,15 +222,9 @@ def run_convlstm(params: ConvLstmParams, features, readout="cell"):
     """
     if readout not in ("cell", "hidden"):
         raise NetworkError(f"unknown readout {readout!r}")
-    b, t = features.shape[0], features.shape[1]
-    state_shape = features.shape[2:]
-    h = Tensor(np.zeros((b, *state_shape)))
-    c = Tensor(np.zeros((b, *state_shape)))
-    for step in range(t):
-        x_t = engine.select(features, step, axis=1)
-        h, c = convlstm_step(params, x_t, h, c)
+    h, c = _recurrence(params, features)
     final = c if readout == "cell" else h
-    return engine.reshape(final, (b, int(np.prod(state_shape))))
+    return engine.reshape(final, (final.shape[0], -1))
 
 
 def generate_descriptor(gen: GeneratorParams, mdr, readout="cell"):

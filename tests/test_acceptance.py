@@ -317,9 +317,9 @@ def test_determinism(report, tmp_path):
 def test_synthetic_benchmark(report):
     """Pinned reference run: 4 classes x 50 shapes, 75/25 split, full mode,
     25 epochs at seed 7.  On a 2-core x86-64 machine (Python 3.11.7, NumPy
-    2.4.6, OpenBLAS 0.3.31) it reproduces accuracy 1.000 and mAP 0.994 in
-    394-506 s with 2 BLAS threads, and accuracy 1.000 and mAP 0.997 with
-    OPENBLAS_NUM_THREADS=1.  Training is bit-deterministic only on the same
+    2.4.6, OpenBLAS 0.3.31) it reproduces accuracy 1.000 and mAP 0.995 in
+    197-274 s with 2 BLAS threads, and accuracy 1.000 and mAP 0.996 in 324 s
+    with OPENBLAS_NUM_THREADS=1.  Training is bit-deterministic only on the same
     NumPy/BLAS build and BLAS thread count."""
     t0 = time.time()
     ds = voxel.build_synthetic_dataset(list(voxel.SYNTHETIC_CLASSES), 50, 7)

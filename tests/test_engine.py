@@ -121,6 +121,14 @@ class TestConv2d:
 
         assert grad_check(f, [x, w, b], tolerance=1e-4).passed
 
+    def test_input_without_gradient_gets_none(self, rng):
+        x = Tensor(rng.uniform(-1, 1, size=(2, 1, 6, 6)))
+        w = Tensor(rng.uniform(-1, 1, size=(3, 1, 4, 4)), requires_grad=True)
+        out = engine.conv2d(x, w, None, stride=2)
+        engine.softmax_cross_entropy(engine.reshape(out, (2, -1)), np.array([0, 4])).backward()
+        assert x.grad is None
+        assert w.grad is not None and w.grad.any()
+
 
 class TestRmsNormalize:
     def test_unit_rms_per_group(self, rng):

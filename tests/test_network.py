@@ -103,6 +103,79 @@ class TestConvLstmStep:
                 assert (np.abs(h.data) <= 1.0).all()
 
 
+class TestRunConvLstm:
+    def test_sequence_matches_scalar_reference(self, rng):
+        # the 3x3 map has kernel taps that fall outside it
+        for spatial in (2, 3):
+            p = make_tiny_lstm(rng, spatial=spatial)
+            feats = rng.normal(size=(2, 4, 4, spatial, spatial))
+            for readout in ("cell", "hidden"):
+                with engine.no_grad():
+                    got = network.run_convlstm(p, Tensor(feats), readout=readout).data
+                for b in range(2):
+                    h = c = np.zeros((4, spatial, spatial))
+                    for t in range(4):
+                        h, c = scalar_convlstm_step(p, feats[b, t], h, c)
+                    ref = (c if readout == "cell" else h).reshape(-1)
+                    denom = max(np.abs(ref).max(), 1.0)
+                    assert np.abs(got[b] - ref).max() / denom < 1e-10, (spatial, readout)
+
+
+def _lstm_loss(rng, width):
+    """Fixed two-layer readout of a (B, width) latent into a cross-entropy."""
+    wa, wb = Tensor(rng.normal(size=(3, width)) * 0.5), Tensor(rng.normal(size=(3, width)) * 0.5)
+    bias = Tensor(np.zeros(3))
+
+    def loss(first, second=None):
+        logits = engine.fully_connected(first, wa, bias)
+        if second is not None:
+            logits = engine.add(logits, engine.fully_connected(second, wb, bias))
+        return engine.softmax_cross_entropy(logits, np.array([1, 2]))
+
+    return loss
+
+
+class TestConvLstmGradients:
+    """Finite-difference checks of the recurrence, at the suite's 1e-4."""
+
+    @staticmethod
+    def _check(rng, spatial, readout):
+        lstm = make_tiny_lstm(rng, spatial=spatial, scale=0.4)
+        names = [n.split(".")[-1] for n, _ in lstm.tensors()]
+        arrays = [t.data for _, t in lstm.tensors()]
+        loss = _lstm_loss(rng, 4 * spatial * spatial)
+
+        def f(ts):
+            lp = network.ConvLstmParams(**dict(zip(names, ts[:-1])))
+            return loss(network.run_convlstm(lp, ts[-1], readout=readout))
+
+        feats = rng.normal(size=(2, 3, 4, spatial, spatial))
+        report = grad_check(f, arrays + [feats], tolerance=1e-4)
+        assert report.passed, report
+
+    def test_hidden_readout(self, rng):
+        self._check(rng, spatial=2, readout="hidden")
+
+    def test_three_by_three_state_map(self, rng):
+        self._check(rng, spatial=3, readout="cell")
+
+    def test_step_from_nonzero_states(self, rng):
+        lstm = make_tiny_lstm(rng, scale=0.4)
+        names = [n.split(".")[-1] for n, _ in lstm.tensors()]
+        arrays = [t.data for _, t in lstm.tensors()]
+        loss = _lstm_loss(rng, 16)
+
+        def f(ts):
+            lp = network.ConvLstmParams(**dict(zip(names, ts[:-3])))
+            h, c = convlstm_step(lp, *ts[-3:])
+            # both outputs reach the loss, so both backward walks run
+            return loss(engine.reshape(h, (2, -1)), engine.reshape(c, (2, -1)))
+
+        x, h0, c0 = (rng.normal(size=(2, 4, 2, 2)) for _ in range(3))
+        report = grad_check(f, arrays + [x, h0, c0], tolerance=1e-4)
+        assert report.passed, report
+
+
 class TestGenerateDescriptor:
     def test_zero_input_zero_params_gives_zero(self):
         gen, _ = init_params(0, 4)
