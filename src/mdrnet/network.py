@@ -1,4 +1,4 @@
-"""Feature generator (shared slice encoder + ConvLSTM) and discriminator.
+"""Generator layers (slice encoder + ConvLSTM), initialisers and file formats.
 
 The encoder maps each normalized 30x30 slice to a 256x2x2 feature map
 through four stride-2 conv layers (32, 64, 128, 256 channels), then
@@ -13,12 +13,15 @@ exactly a dense map, so the recurrence runs as dense gate GEMMs
 kernels are unrolled into two (1024, 4096) matrices on every forward,
 the input projection of all B*3k slices is one GEMM, and each step adds
 one recurrent GEMM and the gate arithmetic. The matrices are derived
-from the 15 stored ConvLSTM tensors and never saved. The discriminator
-is a 3-layer MLP emitting N+1 logits (the extra class marks a
-descriptor as too ambiguous to label).
+from the 15 stored ConvLSTM tensors and never saved.
+
+`training.Model` is the one place these layers and the FC head (built by
+`init_mlp`) are assembled into a model and run.
 """
 from __future__ import annotations
 
+import math
+import re
 import struct
 from dataclasses import dataclass
 
@@ -42,7 +45,7 @@ CHECKPOINT_MAGIC = b"MDRNET2"
 
 
 class NetworkError(ValueError):
-    """Shape mismatch or malformed parameter set."""
+    """Shape mismatch, malformed parameter set, or malformed file."""
 
 
 @dataclass
@@ -89,33 +92,6 @@ class ConvLstmParams:
         return [(f"gen.lstm.{n}", getattr(self, n)) for n in names]
 
 
-@dataclass
-class GeneratorParams:
-    encoder: SliceEncoderParams
-    lstm: ConvLstmParams
-
-    def tensors(self):
-        return self.encoder.tensors() + self.lstm.tensors()
-
-
-@dataclass
-class DiscriminatorParams:
-    """FC stack 1024 -> 128 -> 64 -> N+1; leaky units after the first two."""
-
-    layers: list  # list of (weight, bias)
-
-    @property
-    def n_outputs(self):
-        return self.layers[-1][0].shape[0]
-
-    def tensors(self):
-        out = []
-        for i, (w, b) in enumerate(self.layers):
-            out.append((f"dis.fc{i}.w", w))
-            out.append((f"dis.fc{i}.b", b))
-        return out
-
-
 def _uniform_fan_in(rng, shape, fan_in):
     s = np.sqrt(1.0 / fan_in)
     return Tensor(rng.uniform(-s, s, size=shape), requires_grad=True)
@@ -154,22 +130,14 @@ def init_convlstm(rng, channels=LSTM_CHANNELS, spatial=LSTM_SPATIAL, kernel=LSTM
     )
 
 
-def init_discriminator(rng, n_classes, widths=(128, 64), in_dim=DESCRIPTOR_DIM):
-    sizes = [in_dim, *widths, n_classes + 1]
+def init_mlp(rng, sizes):
+    """Fully connected (weight, bias) layers between successive widths."""
     layers = []
     for fan_in, fan_out in zip(sizes, sizes[1:]):
         w = _uniform_fan_in(rng, (fan_out, fan_in), fan_in)
         b = Tensor(np.zeros(fan_out), requires_grad=True)
         layers.append((w, b))
-    return DiscriminatorParams(layers)
-
-
-def init_params(seed, n_classes):
-    """Seed-deterministic generator and discriminator parameter sets."""
-    rng = np.random.default_rng([int(seed) & 0xFFFFFFFFFFFFFFFF, 0x3DA])
-    gen = GeneratorParams(encoder=init_encoder(rng), lstm=init_convlstm(rng))
-    dis = init_discriminator(rng, n_classes)
-    return gen, dis
+    return layers
 
 
 # ---------------------------------------------------------------------------
@@ -227,41 +195,6 @@ def run_convlstm(params: ConvLstmParams, features, readout="cell"):
     return engine.reshape(final, (final.shape[0], -1))
 
 
-def generate_descriptor(gen: GeneratorParams, mdr, readout="cell"):
-    """Shape descriptor for one normalized slice sequence (3k, H, W)."""
-    slices = np.asarray(mdr.slices if hasattr(mdr, "slices") else mdr, dtype=np.float64)
-    if slices.ndim != 3:
-        raise NetworkError(f"expected (3k, H, W) slices, got {slices.shape}")
-    latent = batch_descriptors(gen, slices[None], readout=readout)
-    return latent.data[0].copy()
-
-
-def batch_descriptors(gen: GeneratorParams, batch, readout="cell"):
-    """Latent Tensor (B, 1024) for a (B, 3k, H, W) batch of slice stacks."""
-    batch = np.asarray(batch, dtype=np.float64)
-    b, t, hh, ww = batch.shape
-    feats = encode_slice(gen.encoder, Tensor(batch.reshape(b * t, 1, hh, ww)))
-    _, ch, fh, fw = feats.shape
-    feats = engine.reshape(feats, (b, t, ch, fh, fw))
-    return run_convlstm(gen.lstm, feats, readout=readout)
-
-
-def discriminate(dis: DiscriminatorParams, descriptor):
-    """Logits over the N real classes plus the adversarial class."""
-    x = descriptor if isinstance(descriptor, Tensor) else Tensor(descriptor)
-    expected = dis.layers[0][0].shape[1]
-    if x.shape[-1] != expected:
-        raise NetworkError(
-            f"descriptor width {x.shape[-1]} != discriminator fan-in {expected}"
-        )
-    last = len(dis.layers) - 1
-    for i, (w, b) in enumerate(dis.layers):
-        x = engine.fully_connected(x, w, b)
-        if i < last:
-            x = engine.leaky_rectifier(x, LEAKY_SLOPE)
-    return x
-
-
 # ---------------------------------------------------------------------------
 # checkpoint serialization
 
@@ -285,23 +218,31 @@ def save_records(records):
 
 
 def load_records(data):
+    """Inverse of save_records; a truncated record or a non-UTF-8 name is a
+    NetworkError. A cut between two records is not detectable here."""
     if data[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
         raise NetworkError("bad checkpoint magic")
+    view = memoryview(data)
     pos = len(CHECKPOINT_MAGIC)
+
+    def take(nbytes, what):
+        nonlocal pos
+        if nbytes > len(view) - pos:
+            raise NetworkError(f"checkpoint truncated in {what} at byte {pos}")
+        pos += nbytes
+        return view[pos - nbytes : pos]
+
     records = {}
-    while pos < len(data):
-        (nlen,) = struct.unpack_from("<I", data, pos)
-        pos += 4
-        name = data[pos : pos + nlen].decode("utf-8")
-        pos += nlen
-        (ndim,) = struct.unpack_from("<I", data, pos)
-        pos += 4
-        shape = struct.unpack_from(f"<{ndim}I", data, pos) if ndim else ()
-        pos += 4 * ndim
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(data, dtype="<f8", count=count, offset=pos).reshape(shape)
-        pos += 8 * count
-        records[name] = arr.astype(np.float64)
+    while pos < len(view):
+        (nlen,) = struct.unpack("<I", take(4, "a record name length"))
+        try:
+            name = str(take(nlen, "a record name"), "utf-8")
+        except UnicodeDecodeError as e:
+            raise NetworkError(f"record name before byte {pos} is not UTF-8") from e
+        (ndim,) = struct.unpack("<I", take(4, f"the rank of {name}"))
+        shape = struct.unpack(f"<{ndim}I", take(4 * ndim, f"the shape of {name}"))
+        payload = take(8 * math.prod(shape), f"the values of {name}")
+        records[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64)
     return records
 
 
@@ -321,21 +262,30 @@ def save_descriptors(ids, descriptors):
 
 
 def load_descriptors(data):
-    lines = data.decode("utf-8").splitlines()
-    if not lines or not lines[0].startswith("DDSD "):
+    """Inverse of save_descriptors; any malformed table is a NetworkError."""
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as e:
+        raise NetworkError(f"descriptor file is not UTF-8: {e}") from e
+    header = re.fullmatch(r"DDSD n=(\d+) dim=(\d+)", lines[0]) if lines else None
+    if header is None:
         raise NetworkError("bad descriptor file header")
-    fields = dict(f.split("=") for f in lines[0].split()[1:])
-    dim = int(fields["dim"])
+    n, dim = map(int, header.groups())
+    if dim != DESCRIPTOR_DIM:
+        raise NetworkError(f"descriptor dim {dim} != {DESCRIPTOR_DIM}")
     ids, vecs = [], []
     for line in lines[1:]:
         if not line.strip():
             continue
-        sid, payload = line.split("\t", 1)
-        vec = np.array(payload.split(), dtype=np.float64)
+        sid, _, payload = line.partition("\t")
+        try:
+            vec = np.array(payload.split(), dtype=np.float64)
+        except ValueError as e:
+            raise NetworkError(f"descriptor for {sid} is not numeric") from e
         if vec.size != dim:
             raise NetworkError(f"descriptor for {sid} has {vec.size} values, expected {dim}")
         ids.append(sid)
         vecs.append(vec)
-    if len(ids) != int(fields["n"]):
+    if len(ids) != n:
         raise NetworkError("descriptor count does not match header")
     return ids, np.array(vecs)

@@ -25,7 +25,7 @@ import numpy as np
 from . import engine, network
 from .engine import Adam, Tensor
 from .mdr import compute_mdr, normalize_mdr
-from .network import DESCRIPTOR_DIM, DiscriminatorParams, SliceEncoderParams
+from .network import DESCRIPTOR_DIM, NetworkError, SliceEncoderParams
 
 MODES = ("cnn_only", "cnn_rnn", "cnn_adv", "full")
 ADVERSARIAL_MODES = ("cnn_adv", "full")
@@ -119,6 +119,9 @@ _READOUT_IDS = {"cell": 0, "hidden": 1}
 
 @dataclass
 class Model:
+    """The one assembled model: `build_model` initialises it, `latent` and
+    `head_logits` run it."""
+
     mode: str
     n_classes: int
     k: int
@@ -155,6 +158,8 @@ class Model:
     def latent(self, batch):
         """(B, 3k, 30, 30) normalized slice stacks -> (B, 1024) Tensor."""
         batch = np.asarray(batch, dtype=np.float64)
+        if batch.ndim != 4 or batch.shape[1] % 3:
+            raise NetworkError(f"expected (B, 3k, H, W) slice stacks, got {batch.shape}")
         b, t, hh, ww = batch.shape
         feats = network.encode_slice(self.encoder, Tensor(batch.reshape(b * t, 1, hh, ww)))
         _, ch, fh, fw = feats.shape
@@ -165,7 +170,12 @@ class Model:
         return engine.mean_axis(flat, axis=1)
 
     def head_logits(self, latent):
+        """Logits of the head: N+1 in adversarial modes (the extra class
+        marks a descriptor as too ambiguous to label), N otherwise."""
         x = latent if isinstance(latent, Tensor) else Tensor(latent)
+        fan_in = self.head[0][0].shape[1]
+        if x.shape[-1] != fan_in:
+            raise NetworkError(f"latent width {x.shape[-1]} != head fan-in {fan_in}")
         last = len(self.head) - 1
         for i, (w, b) in enumerate(self.head):
             x = engine.fully_connected(x, w, b)
@@ -183,29 +193,14 @@ def build_model(mode, n_classes, k=3, seed=0, descriptor_readout="cell") -> Mode
     rng = np.random.default_rng([int(seed) & 0xFFFFFFFFFFFFFFFF, 0x3DA])
     encoder = network.init_encoder(rng)
     lstm = network.init_convlstm(rng) if mode in ("cnn_rnn", "full") else None
-    if mode in ADVERSARIAL_MODES:
-        head = network.init_discriminator(rng, n_classes).layers
+    if mode in ADVERSARIAL_MODES:  # the (N+1)-way discriminator
+        sizes = (DESCRIPTOR_DIM, 128, 64, n_classes + 1)
     elif mode == "cnn_only":
-        head = _init_mlp(rng, (DESCRIPTOR_DIM, 128, n_classes))
+        sizes = (DESCRIPTOR_DIM, 128, n_classes)
     else:  # cnn_rnn: single FC softmax over the descriptor
-        head = _init_mlp(rng, (DESCRIPTOR_DIM, n_classes))
+        sizes = (DESCRIPTOR_DIM, n_classes)
+    head = network.init_mlp(rng, sizes)
     return Model(mode, n_classes, k, descriptor_readout, encoder, lstm, head)
-
-
-def _init_mlp(rng, sizes):
-    layers = []
-    for fan_in, fan_out in zip(sizes, sizes[1:]):
-        s = np.sqrt(1.0 / fan_in)
-        w = Tensor(rng.uniform(-s, s, size=(fan_out, fan_in)), requires_grad=True)
-        b = Tensor(np.zeros(fan_out), requires_grad=True)
-        layers.append((w, b))
-    return layers
-
-
-def discriminator_params(model: Model) -> DiscriminatorParams:
-    if not model.adversarial:
-        raise ConfigError(f"mode {model.mode!r} has no discriminator")
-    return DiscriminatorParams(model.head)
 
 
 # ---------------------------------------------------------------------------

@@ -60,9 +60,9 @@ def test_mdr_matches_scatter_oracle(report):
 
 
 def test_encoder_shape_chain(report):
-    gen, _ = network.init_params(0, 4)
+    model = training.build_model("full", 4, seed=0)
     with engine.no_grad():
-        out = network.encode_slice(gen.encoder, Tensor(np.zeros((1, 30, 30))))
+        out = network.encode_slice(model.encoder, Tensor(np.zeros((1, 30, 30))))
     report("encoder-shape-chain", out.shape == (256, 2, 2), f"30x30 -> {out.shape}")
 
 

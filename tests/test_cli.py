@@ -215,6 +215,41 @@ class TestTrainExtractEval:
             ])
             assert rc == cli.EXIT_USAGE
 
+    def test_truncated_checkpoint_usage_error(self, dataset_dir, run_dir, tmp_path):
+        data = (run_dir / "checkpoint.mdrnet").read_bytes()
+        # inside the first name length, the first name, and the last payload
+        for cut in (9, 15, len(data) - 1):
+            cut_path = tmp_path / f"cut{cut}.mdrnet"
+            cut_path.write_bytes(data[:cut])
+            for cmd in ("extract", "eval"):
+                rc = main([
+                    cmd, "--checkpoint", str(cut_path),
+                    "--data", str(dataset_dir), "--out", str(tmp_path / f"{cmd}{cut}"),
+                ])
+                assert rc == cli.EXIT_USAGE, (cmd, cut)
+
+    def test_malformed_descriptor_file_usage_error(self, dataset_dir, run_dir, tmp_path):
+        from mdrnet import voxel
+
+        ids = [s.shape_id for s in voxel.load_dataset(dataset_dir / "manifest.tsv").subset("test")]
+        rows = [f"{sid}\t{i % 2} 1 {i}" for i, sid in enumerate(ids)]
+        tables = {
+            "dim3": "\n".join([f"DDSD n={len(ids)} dim=3", *rows]),
+            "no_dim": "DDSD n=1",
+            "bad_dim": "DDSD n=1 dim=x",
+            "no_fields": "DDSD foo",
+        }
+        checkpoint = ["--checkpoint", str(run_dir / "checkpoint.mdrnet")]
+        for name, text in tables.items():
+            path = tmp_path / f"{name}.ddsd"
+            path.write_text(text + "\n")
+            for extra in ([], checkpoint):
+                rc = main([
+                    "eval", "--descriptors", str(path), *extra,
+                    "--data", str(dataset_dir), "--out", str(tmp_path / f"e_{name}"),
+                ])
+                assert rc == cli.EXIT_USAGE, (name, extra)
+
     def test_missing_checkpoint_io_error(self, dataset_dir, tmp_path):
         rc = main([
             "extract", "--checkpoint", str(tmp_path / "nope.mdrnet"),

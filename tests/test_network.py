@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -7,15 +9,13 @@ from mdrnet.network import (
     DESCRIPTOR_DIM,
     NetworkError,
     convlstm_step,
-    discriminate,
     encode_slice,
-    generate_descriptor,
-    init_params,
     load_descriptors,
     load_records,
     save_descriptors,
     save_records,
 )
+from mdrnet.training import build_model
 
 from conftest import make_tiny_encoder, make_tiny_lstm, scalar_convlstm_step
 
@@ -25,34 +25,39 @@ def zero_params(param_obj):
         t.data = np.zeros_like(t.data)
 
 
+def descriptor(model, mdr):
+    """Shape descriptor of one (3k, H, W) slice stack."""
+    return model.latent(np.asarray(mdr)[None]).data[0]
+
+
 class TestEncodeSlice:
     def test_zero_slice_zero_biases_gives_zero(self):
-        gen, _ = init_params(0, 4)
+        model = build_model("full", 4, seed=0)
         with engine.no_grad():
-            out = encode_slice(gen.encoder, Tensor(np.zeros((1, 30, 30))))
+            out = encode_slice(model.encoder, Tensor(np.zeros((1, 30, 30))))
         assert out.shape == (256, 2, 2)
         assert not out.data.any()
 
     def test_output_shape(self, rng):
-        gen, _ = init_params(1, 4)
+        model = build_model("full", 4, seed=1)
         with engine.no_grad():
-            out = encode_slice(gen.encoder, Tensor(rng.uniform(0, 1, (1, 30, 30))))
+            out = encode_slice(model.encoder, Tensor(rng.uniform(0, 1, (1, 30, 30))))
         assert out.shape == (256, 2, 2)
 
     def test_different_slices_differ(self, rng):
-        gen, _ = init_params(2, 4)
+        model = build_model("full", 4, seed=2)
         for _ in range(3):
             a = rng.uniform(0, 1, (1, 30, 30))
             b = rng.uniform(0, 1, (1, 30, 30))
             with engine.no_grad():
-                fa = encode_slice(gen.encoder, Tensor(a)).data
-                fb = encode_slice(gen.encoder, Tensor(b)).data
+                fa = encode_slice(model.encoder, Tensor(a)).data
+                fb = encode_slice(model.encoder, Tensor(b)).data
             assert not np.array_equal(fa, fb)
 
     def test_wrong_shape_rejected(self):
-        gen, _ = init_params(0, 4)
+        model = build_model("full", 4, seed=0)
         with pytest.raises(engine.EngineError):
-            encode_slice(gen.encoder, Tensor(np.zeros((2, 30, 30))))
+            encode_slice(model.encoder, Tensor(np.zeros((2, 30, 30))))
 
 
 class TestConvLstmStep:
@@ -178,97 +183,94 @@ class TestConvLstmGradients:
 
 class TestGenerateDescriptor:
     def test_zero_input_zero_params_gives_zero(self):
-        gen, _ = init_params(0, 4)
-        zero_params(gen.encoder)
-        zero_params(gen.lstm)
-        desc = generate_descriptor(gen, np.zeros((9, 30, 30)))
+        model = build_model("full", 4, seed=0)
+        zero_params(model.encoder)
+        zero_params(model.lstm)
+        desc = descriptor(model, np.zeros((9, 30, 30)))
         assert desc.shape == (DESCRIPTOR_DIM,)
         assert not desc.any()
 
     def test_deterministic(self, rng):
-        gen, _ = init_params(5, 4)
+        model = build_model("full", 4, seed=5)
         mdr = rng.uniform(0, 1, (9, 30, 30))
-        d1 = generate_descriptor(gen, mdr)
-        d2 = generate_descriptor(gen, mdr)
+        d1 = descriptor(model, mdr)
+        d2 = descriptor(model, mdr)
         assert np.array_equal(d1, d2)
 
     def test_slice_order_matters(self, rng):
-        gen, _ = init_params(6, 4)
+        model = build_model("full", 4, seed=6)
         mdr = rng.uniform(0, 1, (9, 30, 30))
-        d1 = generate_descriptor(gen, mdr)
-        d2 = generate_descriptor(gen, mdr[::-1].copy())
+        d1 = descriptor(model, mdr)
+        d2 = descriptor(model, mdr[::-1].copy())
         assert not np.array_equal(d1, d2)
 
     def test_wrong_shape_rejected(self):
-        gen, _ = init_params(0, 4)
+        model = build_model("full", 4, seed=0)
         with pytest.raises(NetworkError):
-            generate_descriptor(gen, np.zeros((9, 30)))
+            descriptor(model, np.zeros((9, 30)))
 
     def test_hidden_readout_differs(self, rng):
-        gen, _ = init_params(7, 4)
         mdr = rng.uniform(0, 1, (9, 30, 30))
         assert not np.array_equal(
-            generate_descriptor(gen, mdr, readout="cell"),
-            generate_descriptor(gen, mdr, readout="hidden"),
+            descriptor(build_model("full", 4, seed=7, descriptor_readout="cell"), mdr),
+            descriptor(build_model("full", 4, seed=7, descriptor_readout="hidden"), mdr),
         )
 
 
 class TestDiscriminate:
     def test_zero_params_uniform_softmax(self):
-        _, dis = init_params(0, 4)
-        for _, t in dis.tensors():
+        model = build_model("full", 4, seed=0)
+        for _, t in model.head_tensors():
             t.data = np.zeros_like(t.data)
         with engine.no_grad():
-            logits = discriminate(dis, np.zeros(DESCRIPTOR_DIM))
+            logits = model.head_logits(np.zeros(DESCRIPTOR_DIM))
         assert logits.shape == (5,)
         assert np.allclose(engine.softmax(logits.data), 0.2)
 
     def test_output_width_is_n_plus_one(self):
         for n in (2, 4, 10):
-            _, dis = init_params(1, n)
-            assert dis.n_outputs == n + 1
+            model = build_model("full", n, seed=1)
+            assert model.head[-1][0].shape[0] == n + 1
 
     def test_matches_matvec_chain(self, rng):
-        _, dis = init_params(3, 4)
+        model = build_model("full", 4, seed=3)
         x = rng.normal(size=DESCRIPTOR_DIM)
         expected = x
-        for i, (w, b) in enumerate(dis.layers):
+        for i, (w, b) in enumerate(model.head):
             expected = w.data @ expected + b.data
-            if i < len(dis.layers) - 1:
+            if i < len(model.head) - 1:
                 expected = np.where(expected >= 0, expected, 0.2 * expected)
         with engine.no_grad():
-            got = discriminate(dis, x).data
+            got = model.head_logits(x).data
         assert np.allclose(got, expected, atol=1e-12)
 
     def test_dimension_mismatch(self):
-        _, dis = init_params(0, 4)
+        model = build_model("full", 4, seed=0)
         with pytest.raises(NetworkError):
-            discriminate(dis, np.zeros(100))
+            model.head_logits(np.zeros(100))
 
 
 class TestInitParams:
     def test_deterministic(self):
-        g1, d1 = init_params(11, 4)
-        g2, d2 = init_params(11, 4)
-        for (n1, t1), (n2, t2) in zip(
-            g1.tensors() + d1.tensors(), g2.tensors() + d2.tensors()
-        ):
+        t1s = build_model("full", 4, seed=11).named_tensors()
+        t2s = build_model("full", 4, seed=11).named_tensors()
+        for (n1, t1), (n2, t2) in zip(t1s.items(), t2s.items()):
             assert n1 == n2
             assert np.array_equal(t1.data, t2.data)
 
     def test_forget_bias_ones_other_biases_zero(self):
-        gen, dis = init_params(0, 4)
-        assert np.array_equal(gen.lstm.b_f.data, np.ones(256))
-        for t in (gen.lstm.b_i, gen.lstm.b_c, gen.lstm.b_o):
+        model = build_model("full", 4, seed=0)
+        assert np.array_equal(model.lstm.b_f.data, np.ones(256))
+        for t in (model.lstm.b_i, model.lstm.b_c, model.lstm.b_o):
             assert not t.data.any()
-        for _, b in gen.encoder.layers:
+        for _, b in model.encoder.layers:
             assert not b.data.any()
-        for _, b in dis.layers:
+        for _, b in model.head:
             assert not b.data.any()
 
     def test_weight_sample_means_near_zero(self):
-        gen, dis = init_params(21, 4)
-        for name, t in gen.tensors() + dis.tensors():
+        model = build_model("full", 4, seed=21)
+        for name, t in model.named_tensors().items():
             if name.endswith(".b") or ".b_" in name:
                 continue
             fan_in = t.data.shape[1] * (
@@ -342,6 +344,43 @@ class TestCheckpointRecords:
         with pytest.raises(NetworkError):
             load_records(b"MDRNET1" + data[len(network.CHECKPOINT_MAGIC):])
 
+    def test_every_truncation_is_typed(self, rng):
+        records = {
+            "a.w": rng.normal(size=(3, 4)),
+            "/meta/scalar": np.float64(7.0),
+            "b.v": rng.normal(size=5),
+        }
+        names = list(records)
+        # a cut between two records leaves a valid, shorter record set
+        boundaries = {
+            len(save_records({n: records[n] for n in names[:i]})): names[:i]
+            for i in range(len(names) + 1)
+        }
+        data = save_records(records)
+        for cut in range(len(network.CHECKPOINT_MAGIC), len(data)):
+            if cut in boundaries:
+                assert list(load_records(data[:cut])) == boundaries[cut]
+            else:
+                with pytest.raises(NetworkError):
+                    load_records(data[:cut])
+
+    def test_oversized_lengths_rejected(self):
+        magic = network.CHECKPOINT_MAGIC
+        for body in (
+            struct.pack("<I", 0xFFFFFFFF) + b"a",  # name length
+            struct.pack("<I", 1) + b"a" + struct.pack("<I", 0xFFFFFFFF),  # rank
+            struct.pack("<I", 1) + b"a" + struct.pack("<3I", 1, 0xFFFFFFFF, 0xFFFFFFFF),
+        ):
+            with pytest.raises(NetworkError):
+                load_records(magic + body)
+
+    def test_non_utf8_name_rejected(self):
+        data = save_records({"ab": np.zeros(2)})
+        magic = len(network.CHECKPOINT_MAGIC)
+        bad = data[: magic + 4] + b"\xff\xfe" + data[magic + 6 :]
+        with pytest.raises(NetworkError):
+            load_records(bad)
+
 
 class TestDescriptorFiles:
     def test_round_trip(self, rng):
@@ -358,3 +397,28 @@ class TestDescriptorFiles:
     def test_dimension_enforced(self):
         with pytest.raises(NetworkError):
             save_descriptors(["x"], np.zeros((1, 100)))
+
+    def test_header_dimension_enforced(self):
+        # a self-consistent table of 3-value vectors is not a descriptor file
+        rows = [f"s{i}\t0 1 {i}" for i in range(8)]
+        data = "\n".join(["DDSD n=8 dim=3", *rows]).encode()
+        with pytest.raises(NetworkError):
+            load_descriptors(data)
+
+    def test_malformed_files_rejected(self):
+        row = "x\t" + " ".join(["0"] * DESCRIPTOR_DIM)
+        for text in (
+            "",
+            "DDSD",
+            "DDSD foo",
+            "DDSD n=1",
+            "DDSD n=1 dim=x",
+            f"DDSD n=x dim={DESCRIPTOR_DIM}\n{row}",
+            f"DDSD n=1 dim={DESCRIPTOR_DIM}\nx",
+            f"DDSD n=1 dim={DESCRIPTOR_DIM}\n{row[:-1]}y",
+            f"DDSD n=2 dim={DESCRIPTOR_DIM}\n{row}",
+        ):
+            with pytest.raises(NetworkError):
+                load_descriptors(text.encode())
+        with pytest.raises(NetworkError):
+            load_descriptors(b"DDSD n=0 dim=1024\n\xff")

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -209,6 +211,18 @@ class TestCheckpoint:
         v2 = tr.extract(x)
         assert np.array_equal(v1, v2)
         assert v1.shape == (4, 1024)
+
+    # The epoch-0 checkpoint pins every initialiser and its RNG draw order.
+    # Init makes no BLAS call, so the digests hold for a given NumPy build.
+    @pytest.mark.parametrize("mode, digest", [
+        ("cnn_only", "f40f23f234798e577916ef489fcef7c9da95397741806b47ed0bed1ccdd6579a"),
+        ("cnn_rnn", "20312438f27a6b052a5cc105e87b50786e7ad13daaf2974156e6ff15b41a5976"),
+        ("cnn_adv", "88bee1a099d6e9690a5e989d567f8ca91e3291f3dec4ec52678513fd77450e7d"),
+        ("full", "77618e6d0c085760e09a2e24e41ee479f0154a3e6d4a800ac22a5c1463a5e0f3"),
+    ])
+    def test_initial_checkpoint_digest(self, mode, digest):
+        data = Trainer(TrainConfig(mode=mode, seed=7), N_CLASSES).save()
+        assert hashlib.sha256(data).hexdigest() == digest
 
 
 class TestMetricsCsv:
