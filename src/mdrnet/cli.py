@@ -14,14 +14,20 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, evaluation, network, training, voxel
-from .mdr import compute_mdr, export_mdr_text, export_slice_pgm, slice_name, valid_slice_counts
+from .evaluation import EvaluationError
+from .mdr import MdrError, compute_mdr, export_mdr_text, export_slice_pgm, slice_name, valid_slice_counts
+from .network import NetworkError
 from .training import ConfigError, TrainingError
-from .voxel import DatasetError
+from .voxel import BinvoxError, DatasetError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
+
+# the package's typed errors for bad input; any other exception is a bug
+# and keeps its traceback
+USAGE_ERRORS = (ConfigError, DatasetError, BinvoxError, MdrError, NetworkError, EvaluationError)
 
 
 class CliError(Exception):
@@ -41,27 +47,16 @@ def _write_atomic(path: Path, data):
 
 def cmd_dataset_synth(args):
     classes = [c.strip() for c in args.classes.split(",") if c.strip()]
-    try:
-        dataset = voxel.build_synthetic_dataset(classes, args.per_class, args.seed)
-    except DatasetError as e:
-        raise CliError(str(e), EXIT_USAGE)
-    try:
-        manifest = voxel.write_dataset(dataset, args.out)
-    except OSError as e:
-        raise CliError(f"cannot write dataset: {e}", EXIT_IO)
+    dataset = voxel.build_synthetic_dataset(classes, args.per_class, args.seed)
+    manifest = voxel.write_dataset(dataset, args.out)
     n_train = sum(1 for p in dataset.split.values() if p == "train")
     print(f"wrote {len(dataset.shapes)} shapes ({n_train} train / "
           f"{len(dataset.shapes) - n_train} test) to {manifest}")
 
 
 def cmd_mdr_export(args):
-    try:
-        grid = voxel.load_binvox(Path(args.infile).read_bytes())
-    except OSError as e:
-        raise CliError(f"cannot read {args.infile}: {e}", EXIT_IO)
-    except voxel.BinvoxError as e:
-        raise CliError(f"bad binvox file: {e}", EXIT_USAGE)
-    if any(d % args.k for d in grid.dims):
+    grid = voxel.load_binvox(Path(args.infile).read_bytes())
+    if args.k < 1 or any(d % args.k for d in grid.dims):
         raise CliError(
             f"k={args.k} does not divide the grid; valid divisors: "
             f"{valid_slice_counts(grid.dims[0])}",
@@ -82,21 +77,11 @@ def cmd_mdr_export(args):
 def _load_dataset(path):
     path = Path(path)
     manifest = path / "manifest.tsv" if path.is_dir() else path
-    try:
-        return voxel.load_dataset(manifest)
-    except OSError as e:
-        raise CliError(f"cannot read dataset: {e}", EXIT_IO)
-    except (DatasetError, voxel.BinvoxError) as e:
-        raise CliError(f"bad dataset: {e}", EXIT_USAGE)
+    return voxel.load_dataset(manifest)
 
 
 def cmd_train(args):
-    try:
-        config = training.parse_config(Path(args.config).read_text(encoding="utf-8"))
-    except OSError as e:
-        raise CliError(f"cannot read config: {e}", EXIT_IO)
-    except ConfigError as e:
-        raise CliError(f"config error: {e}", EXIT_USAGE)
+    config = training.parse_config(Path(args.config).read_bytes())
     dataset = _load_dataset(args.data)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -114,17 +99,14 @@ def cmd_train(args):
 
     trainer = training.Trainer(config, len(dataset.classes))
     train_x, train_y, _ = training.prepare_inputs(dataset.subset("train"), config.k)
-    try:
-        for _ in range(config.epochs):
-            m = trainer.train_epoch(train_x, train_y)
-            _write_atomic(checkpoint_path, trainer.save())
-            _write_atomic(metrics_path, training.metrics_csv(trainer.metrics))
-            print(
-                f"epoch {m.epoch}: g_loss={m.g_loss:.4f} d_loss={m.d_loss:.4f} "
-                f"train_acc={m.train_acc:.4f}"
-            )
-    except TrainingError as e:
-        raise CliError(f"training aborted: {e}", EXIT_NUMERIC)
+    for _ in range(config.epochs):
+        m = trainer.train_epoch(train_x, train_y)
+        _write_atomic(checkpoint_path, trainer.save())
+        _write_atomic(metrics_path, training.metrics_csv(trainer.metrics))
+        print(
+            f"epoch {m.epoch}: g_loss={m.g_loss:.4f} d_loss={m.d_loss:.4f} "
+            f"train_acc={m.train_acc:.4f}"
+        )
     if config.epochs == 0:
         _write_atomic(checkpoint_path, trainer.save())
         _write_atomic(metrics_path, training.metrics_csv(trainer.metrics))
@@ -133,14 +115,7 @@ def cmd_train(args):
 
 
 def _restore_trainer(checkpoint):
-    try:
-        data = Path(checkpoint).read_bytes()
-    except OSError as e:
-        raise CliError(f"cannot read checkpoint: {e}", EXIT_IO)
-    try:
-        return training.Trainer.restore(data)
-    except (network.NetworkError, ConfigError, KeyError) as e:
-        raise CliError(f"bad checkpoint: {e}", EXIT_USAGE)
+    return training.Trainer.restore(Path(checkpoint).read_bytes())
 
 
 def cmd_extract(args):
@@ -172,12 +147,7 @@ def cmd_eval(args):
         )
 
     if args.descriptors:
-        try:
-            ids, vecs = network.load_descriptors(Path(args.descriptors).read_bytes())
-        except OSError as e:
-            raise CliError(f"cannot read descriptors: {e}", EXIT_IO)
-        except network.NetworkError as e:
-            raise CliError(f"bad descriptor file: {e}", EXIT_USAGE)
+        ids, vecs = network.load_descriptors(Path(args.descriptors).read_bytes())
         missing = [i for i in ids if i not in labels]
         if missing:
             raise CliError(f"descriptor ids not in dataset: {missing[:5]}", EXIT_USAGE)
@@ -258,20 +228,24 @@ def build_parser():
     return parser
 
 
+def _fail(error, code):
+    print(f"error: {error}", file=sys.stderr)
+    return code
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         args.func(args)
     except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return e.code
+        return _fail(e, e.code)
+    except USAGE_ERRORS as e:
+        return _fail(e, EXIT_USAGE)
     except TrainingError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return _fail(e, EXIT_NUMERIC)
     except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
+        return _fail(e, EXIT_IO)
     return EXIT_OK
 
 

@@ -1,10 +1,11 @@
 """Minimal reverse-mode autodiff engine on float64 numpy arrays.
 
-Everything is sized for small volumetric-slice networks: batched 2D
-convolution with a ceil-mode "same" padding rule, elementwise gates,
+Everything is sized for small volumetric-slice networks. The ops are
+batched 2D convolution with a ceil-mode "same" padding rule, the leaky
+rectifier, per-group RMS normalization, reshape, mean over an axis,
 fully-connected layers, a peephole ConvLSTM recurrence over small state
-maps, softmax cross-entropy, Adam, and a central finite-difference
-gradient checker.
+maps and softmax cross-entropy; with them come Adam and a central
+finite-difference gradient checker.
 """
 from __future__ import annotations
 
@@ -40,13 +41,12 @@ def no_grad():
 class Tensor:
     """A float64 array plus an accumulated gradient and a backward closure."""
 
-    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad=False, name=None):
+    def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self.name = name
         self._parents = ()
         self._backward = None
 
@@ -117,50 +117,8 @@ def _make(data, parents, backward):
     return out
 
 
-def _unbroadcast(grad, shape):
-    """Sum `grad` down to `shape` (inverse of numpy broadcasting)."""
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, d in enumerate(shape) if d == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad
-
-
 # ---------------------------------------------------------------------------
 # elementwise primitives
-
-
-def add(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-
-    def backward(g):
-        a.accumulate(_unbroadcast(g, a.shape))
-        b.accumulate(_unbroadcast(g, b.shape))
-
-    return _make(a.data + b.data, (a, b), backward)
-
-
-def sub(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-
-    def backward(g):
-        a.accumulate(_unbroadcast(g, a.shape))
-        b.accumulate(-_unbroadcast(g, b.shape))
-
-    return _make(a.data - b.data, (a, b), backward)
-
-
-def hadamard(a, b):
-    """Elementwise product (broadcasting allowed, e.g. peephole weights)."""
-    a, b = _as_tensor(a), _as_tensor(b)
-
-    def backward(g):
-        a.accumulate(_unbroadcast(g * b.data, a.shape))
-        b.accumulate(_unbroadcast(g * a.data, b.shape))
-
-    return _make(a.data * b.data, (a, b), backward)
 
 
 def _logistic(x):
@@ -171,26 +129,6 @@ def _logistic(x):
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
-
-
-def sigmoid(a):
-    a = _as_tensor(a)
-    out = _logistic(a.data)
-
-    def backward(g):
-        a.accumulate(g * out * (1.0 - out))
-
-    return _make(out, (a,), backward)
-
-
-def tanh(a):
-    a = _as_tensor(a)
-    out = np.tanh(a.data)
-
-    def backward(g):
-        a.accumulate(g * (1.0 - out * out))
-
-    return _make(out, (a,), backward)
 
 
 def leaky_rectifier(a, slope=0.2):
@@ -536,6 +474,11 @@ def softmax_cross_entropy(logits, targets):
 # optimizer
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """First/second moments and step count for one parameter list."""
@@ -543,9 +486,6 @@ class AdamState:
     m: list = field(default_factory=list)
     v: list = field(default_factory=list)
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def for_params(cls, params):
@@ -567,7 +507,7 @@ def adam_step(params, grads, state, lr):
         if g is not None and not np.isfinite(g).all():
             raise NonFiniteGradient("non-finite gradient cells; step aborted")
     state.t += 1
-    b1, b2, eps = state.beta1, state.beta2, state.eps
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     c1 = 1.0 - b1**state.t
     c2 = 1.0 - b2**state.t
     for p, g, m, v in zip(params, grads, state.m, state.v):

@@ -64,30 +64,23 @@ def retrieve(query_id, query_vec, gallery_ids, gallery_vecs, gallery_labels,
         dists = 1.0 - gn @ qn
     else:
         raise EvaluationError(f"unknown metric {metric!r}")
-    entries = [
-        (dists[i], gallery_ids[i], gallery_labels[i])
-        for i in range(len(gallery_ids))
-        if gallery_ids[i] != query_id
-    ]
-    entries.sort(key=lambda e: (e[0], e[1]))
+    ids = np.asarray(gallery_ids)
+    keep = np.flatnonzero(ids != query_id)
+    order = keep[np.lexsort((ids[keep], dists[keep]))]
     return RetrievalResult(
         query_id=query_id,
-        ranked_ids=[e[1] for e in entries],
-        relevant=[e[2] == query_label for e in entries],
+        ranked_ids=[gallery_ids[i] for i in order],
+        relevant=(np.asarray(gallery_labels)[order] == query_label).tolist(),
     )
 
 
 def average_precision(result: RetrievalResult):
     """Mean of precision-at-r over the relevant ranks r; None if no relevant."""
-    hits = 0
-    precisions = []
-    for rank, rel in enumerate(result.relevant, start=1):
-        if rel:
-            hits += 1
-            precisions.append(hits / rank)
-    if not precisions:
+    rel = np.asarray(result.relevant, dtype=bool)
+    if not rel.any():
         return None
-    return float(np.mean(precisions))
+    ranks = np.arange(1, len(rel) + 1)
+    return float(np.mean(np.cumsum(rel)[rel] / ranks[rel]))
 
 
 def mean_ap(results):
@@ -123,11 +116,8 @@ def pr_curve(result: RetrievalResult) -> PrCurve:
 
 def interpolated_precision(curve: PrCurve, levels=RECALL_LEVELS):
     """Max precision at recall >= level, for each of the 11 standard levels."""
-    out = np.zeros(len(levels))
-    for i, level in enumerate(levels):
-        mask = curve.recall >= level - 1e-12
-        out[i] = curve.precision[mask].max() if mask.any() else 0.0
-    return out
+    best_after = np.append(np.maximum.accumulate(curve.precision[::-1])[::-1], 0.0)
+    return best_after[np.searchsorted(curve.recall, np.asarray(levels) - 1e-12)]
 
 
 def macro_pr(results):
@@ -145,8 +135,8 @@ def macro_pr(results):
 def pr_csv(result: RetrievalResult) -> str:
     curve = pr_curve(result)
     lines = ["rank,recall,precision"]
-    for i in range(len(curve.recall)):
-        lines.append(f"{i + 1},{curve.recall[i]:.17g},{curve.precision[i]:.17g}")
+    for rank, (r, p) in enumerate(zip(curve.recall.tolist(), curve.precision.tolist()), start=1):
+        lines.append(f"{rank},{r:.17g},{p:.17g}")
     return "\n".join(lines) + "\n"
 
 

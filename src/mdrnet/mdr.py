@@ -59,26 +59,23 @@ def valid_slice_counts(dim):
 
 
 def compute_mdr(grid: VoxelGrid, k: int) -> MdrSequence:
-    """Sum k half-open segments of the grid along each of z, x, y."""
+    """Sum k half-open segments of a cubic grid along each of z, x, y."""
     dx, dy, dz = grid.dims
     if k <= 0:
         raise MdrError("k must be positive")
-    for d in grid.dims:
-        if d % k != 0:
-            raise MdrError(
-                f"k={k} does not divide dimension {d}; valid: {valid_slice_counts(d)}"
-            )
+    if not dx == dy == dz:
+        raise MdrError(f"grid {dx}x{dy}x{dz} is not a cube")
+    if dx % k != 0:
+        raise MdrError(f"k={k} does not divide dimension {dx}; valid: {valid_slice_counts(dx)}")
     arr = grid.to_array().astype(np.int64)  # [x, y, z]
-    n = dz // k
+    n = dx // k
     slices = []
     for i in range(k):  # z segments -> rows x, cols y
         slices.append(arr[:, :, i * n : (i + 1) * n].sum(axis=2))
-    n_x = dx // k
     for i in range(k):  # x segments -> rows y, cols z
-        slices.append(arr[i * n_x : (i + 1) * n_x].sum(axis=0))
-    n_y = dy // k
+        slices.append(arr[i * n : (i + 1) * n].sum(axis=0))
     for i in range(k):  # y segments -> rows x, cols z
-        slices.append(arr[:, i * n_y : (i + 1) * n_y, :].sum(axis=1))
+        slices.append(arr[:, i * n : (i + 1) * n, :].sum(axis=1))
     return MdrSequence(k=k, n=n, slices=np.stack(slices))
 
 

@@ -242,7 +242,10 @@ def load_records(data):
         (ndim,) = struct.unpack("<I", take(4, f"the rank of {name}"))
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim, f"the shape of {name}"))
         payload = take(8 * math.prod(shape), f"the values of {name}")
-        records[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64)
+        try:
+            records[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64)
+        except ValueError as e:  # a rank numpy cannot hold
+            raise NetworkError(f"record {name} has rank {ndim}: {e}") from e
     return records
 
 
@@ -267,7 +270,7 @@ def load_descriptors(data):
         lines = data.decode("utf-8").splitlines()
     except UnicodeDecodeError as e:
         raise NetworkError(f"descriptor file is not UTF-8: {e}") from e
-    header = re.fullmatch(r"DDSD n=(\d+) dim=(\d+)", lines[0]) if lines else None
+    header = re.fullmatch(r"DDSD n=([0-9]{1,18}) dim=([0-9]{1,18})", lines[0]) if lines else None
     if header is None:
         raise NetworkError("bad descriptor file header")
     n, dim = map(int, header.groups())
@@ -284,6 +287,8 @@ def load_descriptors(data):
             raise NetworkError(f"descriptor for {sid} is not numeric") from e
         if vec.size != dim:
             raise NetworkError(f"descriptor for {sid} has {vec.size} values, expected {dim}")
+        if not np.isfinite(vec).all():
+            raise NetworkError(f"descriptor for {sid} is not finite")
         ids.append(sid)
         vecs.append(vec)
     if len(ids) != n:

@@ -18,6 +18,7 @@ see the g_updates_dis switch).
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -25,7 +26,8 @@ import numpy as np
 from . import engine, network
 from .engine import Adam, Tensor
 from .mdr import compute_mdr, normalize_mdr
-from .network import DESCRIPTOR_DIM, NetworkError, SliceEncoderParams
+from .network import DESCRIPTOR_DIM, LSTM_CHANNELS, LSTM_SPATIAL, NetworkError, SliceEncoderParams
+from .voxel import DatasetError
 
 MODES = ("cnn_only", "cnn_rnn", "cnn_adv", "full")
 ADVERSARIAL_MODES = ("cnn_adv", "full")
@@ -57,8 +59,8 @@ class TrainConfig:
             raise ConfigError(f"unknown mode {self.mode!r}; expected one of {MODES}")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-        if self.lr_gen <= 0 or self.lr_dis <= 0:
-            raise ConfigError("learning rates must be positive")
+        if not all(math.isfinite(lr) and lr > 0 for lr in (self.lr_gen, self.lr_dis)):
+            raise ConfigError("learning rates must be finite and positive")
         if not 0 < self.decay <= 1:
             raise ConfigError("decay must be in (0, 1]")
         if self.epochs < 0:
@@ -73,7 +75,12 @@ _CONFIG_TYPES = {f.name: f.type for f in fields(TrainConfig)}
 
 
 def parse_config(text) -> TrainConfig:
-    """Parse `key = value` lines; unknown keys are an error."""
+    """Parse `key = value` lines (str, or UTF-8 bytes); unknown keys are an error."""
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"config is not UTF-8: {e}") from e
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -114,7 +121,8 @@ def format_config(config: TrainConfig) -> str:
 # model assembly
 
 _MODE_IDS = {m: i for i, m in enumerate(MODES)}
-_READOUT_IDS = {"cell": 0, "hidden": 1}
+_READOUTS = ("cell", "hidden")
+_READOUT_IDS = {r: i for i, r in enumerate(_READOUTS)}
 
 
 @dataclass
@@ -163,6 +171,11 @@ class Model:
         b, t, hh, ww = batch.shape
         feats = network.encode_slice(self.encoder, Tensor(batch.reshape(b * t, 1, hh, ww)))
         _, ch, fh, fw = feats.shape
+        if (ch, fh, fw) != (LSTM_CHANNELS, LSTM_SPATIAL, LSTM_SPATIAL):
+            raise NetworkError(
+                f"{hh}x{ww} slices encode to {ch}x{fh}x{fw}, not "
+                f"{LSTM_CHANNELS}x{LSTM_SPATIAL}x{LSTM_SPATIAL}"
+            )
         feats = engine.reshape(feats, (b, t, ch, fh, fw))
         if self.uses_lstm:
             return network.run_convlstm(self.lstm, feats, readout=self.descriptor_readout)
@@ -209,7 +222,11 @@ def build_model(mode, n_classes, k=3, seed=0, descriptor_readout="cell") -> Mode
 
 def prepare_inputs(shapes, k):
     """Normalized slice stacks for a list of LabeledShapes: (n, 3k, D, D)."""
+    if not shapes:
+        raise DatasetError("no shapes to prepare")
     stacks = [normalize_mdr(compute_mdr(s.grid, k)).slices for s in shapes]
+    if any(st.shape != stacks[0].shape for st in stacks):
+        raise DatasetError(f"shapes of different grid sizes: {sorted({st.shape for st in stacks})}")
     labels = np.array([s.label - 1 for s in shapes], dtype=np.int64)  # 0-based
     ids = [s.shape_id for s in shapes]
     return np.stack(stacks), labels, ids
@@ -329,6 +346,13 @@ class Trainer:
 
     # -- checkpointing -----------------------------------------------------
 
+    def _opt_groups(self):
+        """(group, optimizer, parameter names) of the two Adam states."""
+        return [
+            ("gen", self.opt_gen, [n for n, _ in self.model.gen_tensors()]),
+            ("head", self.opt_head, [n for n, _ in self.model.head_tensors()]),
+        ]
+
     def to_records(self):
         records = {
             "/meta/mode_id": np.float64(_MODE_IDS[self.model.mode]),
@@ -339,8 +363,7 @@ class Trainer:
         }
         for name, t in self.model.named_tensors().items():
             records[name] = t.data
-        for group, opt in (("gen", self.opt_gen), ("head", self.opt_head)):
-            names = [n for n, _ in (self.model.gen_tensors() if group == "gen" else self.model.head_tensors())]
+        for group, opt, names in self._opt_groups():
             records[f"/opt/{group}.t"] = np.float64(opt.state.t)
             for pname, m, v in zip(names, opt.state.m, opt.state.v):
                 records[f"/opt/{pname}.m"] = m
@@ -352,26 +375,37 @@ class Trainer:
 
     @classmethod
     def restore(cls, data, config: TrainConfig | None = None):
+        """Rebuild a trainer from `save` bytes; a missing, misshapen or
+        out-of-range record is a NetworkError."""
         records = network.load_records(data)
-        mode = MODES[int(records["/meta/mode_id"])]
-        n_classes = int(records["/meta/n_classes"])
-        k = int(records["/meta/k"])
-        readout = "cell" if int(records["/meta/readout_id"]) == 0 else "hidden"
+
+        def record(name, shape):
+            if name not in records:
+                raise NetworkError(f"checkpoint missing record {name}")
+            if records[name].shape != shape:
+                raise NetworkError(f"checkpoint record {name} has shape {records[name].shape}, not {shape}")
+            return records[name].copy()
+
+        def count(name, low, high=math.inf):
+            value = float(record(name, ()))
+            if not (value.is_integer() and low <= value <= high):
+                raise NetworkError(f"checkpoint record {name} = {value} is not an integer in [{low}, {high}]")
+            return int(value)
+
+        mode = MODES[count("/meta/mode_id", 0, len(MODES) - 1)]
+        n_classes = count("/meta/n_classes", 1)
+        k = count("/meta/k", 1)
+        readout = _READOUTS[count("/meta/readout_id", 0, len(_READOUTS) - 1)]
         if config is None:
             config = TrainConfig(mode=mode, k=k, descriptor_readout=readout)
         trainer = cls(config, n_classes)
-        trainer.epoch = int(records["/meta/epoch"])
+        trainer.epoch = count("/meta/epoch", 0)
         for name, t in trainer.model.named_tensors().items():
-            if name not in records:
-                raise network.NetworkError(f"checkpoint missing parameter {name}")
-            if records[name].shape != t.data.shape:
-                raise network.NetworkError(f"checkpoint shape mismatch for {name}")
-            t.data = records[name].copy()
-        for group, opt in (("gen", trainer.opt_gen), ("head", trainer.opt_head)):
-            names = [n for n, _ in (trainer.model.gen_tensors() if group == "gen" else trainer.model.head_tensors())]
-            opt.state.t = int(records[f"/opt/{group}.t"])
-            opt.state.m = [records[f"/opt/{n}.m"].copy() for n in names]
-            opt.state.v = [records[f"/opt/{n}.v"].copy() for n in names]
+            t.data = record(name, t.data.shape)
+        for group, opt, names in trainer._opt_groups():
+            opt.state.t = count(f"/opt/{group}.t", 0)
+            opt.state.m = [record(f"/opt/{n}.m", p.data.shape) for n, p in zip(names, opt.params)]
+            opt.state.v = [record(f"/opt/{n}.v", p.data.shape) for n, p in zip(names, opt.params)]
         return trainer
 
 

@@ -139,6 +139,8 @@ def load_binvox(data: bytes) -> VoxelGrid:
             raise BinvoxError(f"unexpected header line {line!r}")
     if dims is None:
         raise BinvoxError("missing dim line")
+    if min(dims) <= 0:
+        raise BinvoxError(f"grid dimensions {dims} must be positive")
     total = dims[0] * dims[1] * dims[2]
     rle = np.frombuffer(data[pos:], dtype=np.uint8)
     if rle.size % 2 != 0:
@@ -294,7 +296,11 @@ def load_dataset(manifest_path):
     classes = []
     shapes = []
     split = {}
-    for raw in manifest_path.read_text(encoding="utf-8").splitlines():
+    try:
+        text = manifest_path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise DatasetError(f"manifest is not UTF-8: {e}") from e
+    for raw in text.splitlines():
         line = raw.strip()
         if not line:
             continue

@@ -29,6 +29,20 @@ def naive_conv2d(x, w, b, stride):
     return out
 
 
+def linear_readout(out, weight):
+    """Fixed linear scalar readout of `out`: a (1, out.size) weight, zero bias."""
+    return engine.fully_connected(engine.reshape(out, (1, -1)), weight, Tensor(np.zeros(1)))
+
+
+def add(a, b):
+    """Graph sum of two same-shape Tensors."""
+    def backward(g):
+        a.accumulate(g)
+        b.accumulate(g)
+
+    return engine._make(a.data + b.data, (a, b), backward)
+
+
 def make_tiny_lstm(rng, channels=4, spatial=2, kernel=3, scale=1.0):
     def kern():
         return Tensor(scale * rng.normal(size=(channels, channels, kernel, kernel)),

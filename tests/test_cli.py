@@ -256,3 +256,95 @@ class TestTrainExtractEval:
             "--data", str(dataset_dir), "--out", str(tmp_path / "d"),
         ])
         assert rc == cli.EXIT_IO
+
+
+def _cube_dataset(root, sizes):
+    """Boxes in grids of the given (dx, dy, dz) sizes, all in the test split."""
+    from mdrnet import voxel
+
+    root.mkdir()
+    lines = []
+    for i, dims in enumerate(sizes):
+        arr = np.zeros(dims, dtype=np.uint8)
+        arr[tuple(slice(2, d - 2) for d in dims)] = 1
+        (root / f"s{i}.binvox").write_bytes(voxel.save_binvox(voxel.VoxelGrid.from_array(arr)))
+        lines.append(f"s{i}.binvox\tc{i}\ttest")
+    (root / "manifest.tsv").write_text("\n".join(lines) + "\n")
+    return root
+
+
+@pytest.fixture(scope="module")
+def bad_inputs(dataset_dir, tmp_path_factory):
+    """argv per bad input: each names a file the CLI reads and must refuse."""
+    from mdrnet import network, training
+
+    tmp = tmp_path_factory.mktemp("bad")
+    good = training.Trainer(training.TrainConfig(mode="cnn_only", seed=7), 4).save()
+    (tmp / "good.mdrnet").write_bytes(good)
+
+    def extract(checkpoint, data=dataset_dir):
+        return ["extract", "--checkpoint", str(checkpoint), "--data", str(data),
+                "--split", "all", "--out", str(tmp / "out.ddsd")]
+
+    cases = {}
+    for name, value in [
+        ("/meta/mode_id", 9), ("/meta/mode_id", -1), ("/meta/readout_id", 5),
+        ("/meta/n_classes", 4.5), ("/meta/epoch", -3), ("/meta/k", 4), ("/opt/gen.t", None),
+    ]:
+        records = network.load_records(good)
+        if value is None:
+            del records[name]
+        else:
+            records[name] = np.float64(value)
+        path = tmp / f"{name.replace('/', '_')}{value}.mdrnet"
+        path.write_bytes(network.save_records(records))
+        cases[f"checkpoint{name}={value}"] = extract(path)
+
+    (tmp / "dim0.binvox").write_bytes(b"#binvox 1\ndim 0 30 30\ndata\n")
+    cases["binvox_dim_0"] = ["mdr-export", "--in", str(tmp / "dim0.binvox"), "--out", str(tmp / "m")]
+    cases["mdr_export_k0"] = ["mdr-export", "--in", str(next(dataset_dir.glob("*.binvox"))), "--k", "0",
+                              "--out", str(tmp / "m")]
+    flat = _cube_dataset(tmp / "flat", [(30, 30, 60)] * 2)
+    cases["mdr_export_30x30x60"] = ["mdr-export", "--in", str(flat / "s0.binvox"), "--out", str(tmp / "m")]
+    cases["extract_30x30x60"] = extract(tmp / "good.mdrnet", flat)
+    for name, sizes in {"mixed": [(30,) * 3, (24,) * 3], "cube36": [(36,) * 3] * 2,
+                        "cube60": [(60,) * 3] * 2}.items():
+        cases[f"extract_{name}"] = extract(tmp / "good.mdrnet", _cube_dataset(tmp / name, sizes))
+
+    singles = _cube_dataset(tmp / "singles", [(30,) * 3] * 3)  # one shape per class
+    vecs = np.eye(3, network.DESCRIPTOR_DIM)
+    (tmp / "singles.ddsd").write_bytes(network.save_descriptors(["s0", "s1", "s2"], vecs))
+    cases["eval_no_relevant_item"] = ["eval", "--descriptors", str(tmp / "singles.ddsd"),
+                                      "--data", str(singles), "--out", str(tmp / "e")]
+    rows = "".join(f"s{i}\t" + " ".join(["nan"] * network.DESCRIPTOR_DIM) + "\n" for i in range(3))
+    (tmp / "nan.ddsd").write_text(f"DDSD n=3 dim={network.DESCRIPTOR_DIM}\n" + rows)
+    cases["eval_nan_descriptors"] = ["eval", "--descriptors", str(tmp / "nan.ddsd"),
+                                     "--data", str(singles), "--out", str(tmp / "e")]
+
+    (tmp / "latin1").mkdir()
+    (tmp / "latin1" / "manifest.tsv").write_bytes(b"s\xe9.binvox\tc\ttest\n")
+    cases["manifest_not_utf8"] = extract(tmp / "good.mdrnet", tmp / "latin1")
+    cases["extract_empty_split"] = ["extract", "--checkpoint", str(tmp / "good.mdrnet"), "--data",
+                                    str(singles), "--split", "train", "--out", str(tmp / "o.ddsd")]
+    for name, text in {"config_lr_nan": b"lr_gen = nan\n", "config_not_utf8": b"mode = \xff\n"}.items():
+        (tmp / name).write_bytes(text)
+        cases[name] = ["train", "--config", str(tmp / name), "--data", str(dataset_dir),
+                       "--out", str(tmp / "t")]
+    return cases
+
+
+BAD_INPUTS = [
+    "checkpoint/meta/mode_id=9", "checkpoint/meta/mode_id=-1", "checkpoint/meta/readout_id=5",
+    "checkpoint/meta/n_classes=4.5", "checkpoint/meta/epoch=-3", "checkpoint/meta/k=4",
+    "checkpoint/opt/gen.t=None", "binvox_dim_0", "mdr_export_k0", "mdr_export_30x30x60", "extract_30x30x60",
+    "extract_mixed", "extract_cube36", "extract_cube60", "eval_no_relevant_item",
+    "eval_nan_descriptors", "manifest_not_utf8", "extract_empty_split", "config_lr_nan",
+    "config_not_utf8",
+]
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS)
+def test_bad_input_usage_error(bad_inputs, case, capsys):
+    assert sorted(bad_inputs) == sorted(BAD_INPUTS)
+    assert main(bad_inputs[case]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")

@@ -12,47 +12,22 @@ from mdrnet.engine import (
     grad_check,
 )
 
-from conftest import naive_conv2d
+from conftest import linear_readout, naive_conv2d
 
 
 class TestPointwise:
-    def test_sigmoid_tanh_at_zero(self):
-        assert engine.sigmoid(Tensor(0.0)).item() == pytest.approx(0.5)
-        assert engine.tanh(Tensor(0.0)).item() == 0.0
-
-    def test_hadamard_identity(self, rng):
-        a = rng.normal(size=(3, 4))
-        out = engine.hadamard(Tensor(a), Tensor(np.ones((3, 4))))
-        assert np.array_equal(out.data, a)
-
     def test_leaky_rectifier_slope(self):
         out = engine.leaky_rectifier(Tensor([-1.0, 0.0, 2.0]), 0.2)
         assert np.allclose(out.data, [-0.2, 0.0, 2.0])
 
     def test_pointwise_gradients_match_finite_differences(self, rng):
-        ops = [
-            lambda t: engine.sigmoid(t[0]),
-            lambda t: engine.tanh(t[0]),
-            lambda t: engine.leaky_rectifier(t[0], 0.2),
-            lambda t: engine.hadamard(t[0], t[1]),
-            lambda t: engine.add(t[0], t[1]),
-            lambda t: engine.sub(t[0], t[1]),
-        ]
-        readout = Tensor(rng.normal(size=(10, 10)))
-        for op in ops:
-            def f(ts, op=op):
-                out = engine.hadamard(op(ts), readout)
-                return engine.mean_axis(engine.reshape(out, (1, -1)), axis=1)
-
-            xs = [rng.uniform(-1, 1, size=(10, 10)), rng.uniform(-1, 1, size=(10, 10))]
-            # keep leaky inputs away from the kink
-            xs = [np.where(np.abs(x) < 1e-3, 0.1, x) for x in xs]
-            report = grad_check(f, xs, tolerance=1e-6)
-            assert report.passed, report
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            engine.hadamard(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5)))).data
+        weight = Tensor(rng.normal(size=(1, 100)))
+        x = rng.uniform(-1, 1, size=(10, 10))
+        x = np.where(np.abs(x) < 1e-3, 0.1, x)  # keep leaky inputs away from the kink
+        report = grad_check(
+            lambda t: linear_readout(engine.leaky_rectifier(t[0], 0.2), weight), [x], tolerance=1e-6
+        )
+        assert report.passed, report
 
 
 class TestConv2d:
@@ -149,11 +124,10 @@ class TestRmsNormalize:
 
     def test_gradients(self, rng):
         x = rng.normal(size=(2, 3, 2, 2))
-        readout = Tensor(rng.normal(size=(2, 3, 2, 2)))
+        weight = Tensor(rng.normal(size=(1, x.size)))
 
         def f(ts):
-            out = engine.hadamard(engine.rms_normalize(ts[0], axes=(-3, -2, -1)), readout)
-            return engine.mean_axis(engine.reshape(out, (1, -1)), axis=1)
+            return linear_readout(engine.rms_normalize(ts[0], axes=(-3, -2, -1)), weight)
 
         assert grad_check(f, [x], tolerance=1e-4).passed
 

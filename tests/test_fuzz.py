@@ -1,0 +1,171 @@
+"""Property tests of the file readers: on any input, arbitrary or
+structured but wrong, each reader returns a well-formed value or raises
+its own module's typed error, never anything else."""
+import struct
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from mdrnet import network
+from mdrnet.network import DESCRIPTOR_DIM, NetworkError, load_descriptors, load_records
+from mdrnet.training import ConfigError, TrainConfig, parse_config
+from mdrnet.voxel import BinvoxError, VoxelGrid, load_binvox
+
+FUZZ = settings(max_examples=150, deadline=None)
+
+
+# ---------------------------------------------------------------------------
+# binvox
+
+
+def binvox_stream(dims, extra_lines, pairs):
+    header = "#binvox 1\ndim {} {} {}\n".format(*dims) + "".join(f"{line}\n" for line in extra_lines)
+    return (header + "data\n").encode() + bytes(b for pair in pairs for b in pair)
+
+
+@st.composite
+def binvox_like(draw):
+    dims = draw(st.tuples(*[st.integers(-2, 5)] * 3))
+    extra = draw(st.lists(st.sampled_from(["translate 0 0 0", "scale 1", "", "dim 2 2", "bogus"]), max_size=2))
+    pairs = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 255)), max_size=6))
+    return binvox_stream(dims, extra, pairs)
+
+
+def check_binvox(data):
+    try:
+        grid = load_binvox(data)
+    except BinvoxError:
+        return
+    assert isinstance(grid, VoxelGrid) and min(grid.dims) > 0
+
+
+@FUZZ
+@given(st.binary(max_size=120))
+@example(b"#binvox 1\ndim 2 2 2\ndata\n\x01\x08")
+def test_load_binvox_arbitrary_bytes(data):
+    check_binvox(data)
+
+
+@FUZZ
+@given(binvox_like())
+@example(b"#binvox 1\ndim 0 30 30\ndata\n")
+@example(b"#binvox 1\ndim -1 -2 1\ndata\n\x00\x02")
+def test_load_binvox_structured(data):
+    check_binvox(data)
+
+
+# ---------------------------------------------------------------------------
+# checkpoint records
+
+
+def record(name, shape, n_values):
+    nb = name.encode("utf-8")
+    head = struct.pack("<I", len(nb)) + nb + struct.pack(f"<I{len(shape)}I", len(shape), *shape)
+    return head + bytes(8 * n_values)
+
+
+@st.composite
+def records_like(draw):
+    body = b""
+    for _ in range(draw(st.integers(0, 3))):
+        shape = draw(st.lists(st.integers(0, 3), max_size=draw(st.sampled_from([3, 70]))))
+        n_values = int(np.prod(shape)) + draw(st.sampled_from([0, 0, -1, 1]))
+        body += record(draw(st.text(max_size=4)), shape, max(n_values, 0))
+    return network.CHECKPOINT_MAGIC + body + draw(st.binary(max_size=3))
+
+
+def check_records(data):
+    try:
+        records = load_records(data)
+    except NetworkError:
+        return
+    assert all(isinstance(a, np.ndarray) and a.dtype == np.float64 for a in records.values())
+
+
+@FUZZ
+@given(st.binary(max_size=80))
+def test_load_records_arbitrary_bytes(data):
+    check_records(network.CHECKPOINT_MAGIC + data)
+
+
+@FUZZ
+@given(records_like())
+@example(network.CHECKPOINT_MAGIC + record("r", (1,) * 65, 1))
+def test_load_records_structured(data):
+    check_records(data)
+
+
+# ---------------------------------------------------------------------------
+# descriptor tables
+
+TOKENS = ["0", "1.5", "-2e-3", "nan", "inf", "1e999", "x", "0x1", "1,5", "٣"]
+
+
+@st.composite
+def descriptors_like(draw):
+    n = draw(st.sampled_from(["0", "1", "2", "-1", "x", "9" * 30]))
+    dim = draw(st.sampled_from([str(DESCRIPTOR_DIM), "3", ""]))
+    rows = []
+    for _ in range(draw(st.integers(0, 2))):
+        values = [draw(st.sampled_from(TOKENS[:3]))] * draw(st.sampled_from([DESCRIPTOR_DIM, DESCRIPTOR_DIM - 1, 3]))
+        if values and draw(st.booleans()):
+            values[draw(st.integers(0, len(values) - 1))] = draw(st.sampled_from(TOKENS))
+        rows.append(draw(st.text(max_size=3)) + draw(st.sampled_from(["\t", " ", ""])) + " ".join(values))
+    return "\n".join([f"DDSD n={n} dim={dim}", *rows]).encode("utf-8")
+
+
+def check_descriptors(data):
+    try:
+        ids, vecs = load_descriptors(data)
+    except NetworkError:
+        return
+    assert vecs.shape in ((len(ids), DESCRIPTOR_DIM), (0,)) and np.isfinite(vecs).all()
+
+
+@FUZZ
+@given(st.binary(max_size=120))
+def test_load_descriptors_arbitrary_bytes(data):
+    check_descriptors(data)
+
+
+@FUZZ
+@given(descriptors_like())
+@example(("DDSD n=" + "9" * 5000 + f" dim={DESCRIPTOR_DIM}").encode())
+@example(f"DDSD n=1 dim={DESCRIPTOR_DIM}\nx\t{' '.join(['nan'] * DESCRIPTOR_DIM)}".encode())
+@example(f"DDSD n=1 dim={DESCRIPTOR_DIM}\nx\t{' '.join(['1e999'] * DESCRIPTOR_DIM)}".encode())
+def test_load_descriptors_structured(data):
+    check_descriptors(data)
+
+
+# ---------------------------------------------------------------------------
+# training configs
+
+CONFIG_KEYS = ["mode", "k", "batch_size", "lr_gen", "lr_dis", "decay", "epochs", "seed",
+               "g_updates_dis", "descriptor_readout", "momentum"]
+CONFIG_VALUES = ["full", "cnn_only", "hidden", "true", "maybe", "0", "3", "-1", "1e999",
+                 "0.5", "nan", "inf", "-inf", "", "1_0", "9" * 5000]
+
+
+def check_config(text):
+    try:
+        config = parse_config(text)
+    except ConfigError:
+        return
+    assert isinstance(config, TrainConfig)
+    assert 0 < config.lr_gen < np.inf and 0 < config.lr_dis < np.inf and 0 < config.decay <= 1
+
+
+@FUZZ
+@given(st.one_of(st.text(max_size=80), st.binary(max_size=80)))
+def test_parse_config_arbitrary_input(text):
+    check_config(text)
+
+
+@FUZZ
+@given(st.lists(st.tuples(st.sampled_from(CONFIG_KEYS), st.sampled_from(["=", " = ", ":"]),
+                          st.sampled_from(CONFIG_VALUES)), max_size=4))
+@example([("lr_gen", " = ", "nan")])
+@example([("lr_dis", " = ", "inf")])
+def test_parse_config_structured(lines):
+    check_config("\n".join(k + sep + v for k, sep, v in lines))

@@ -89,6 +89,11 @@ class TestComputeMdr:
             with pytest.raises(MdrError):
                 compute_mdr(g, k)
 
+    def test_non_cubic_grid_rejected(self):
+        g = VoxelGrid.from_array(np.ones((30, 30, 60), dtype=np.uint8))
+        with pytest.raises(MdrError):
+            compute_mdr(g, 3)
+
     @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3, 6]))
     @settings(max_examples=20, deadline=None)
     def test_oracle_property_small_grids(self, seed, k):

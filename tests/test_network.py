@@ -17,7 +17,7 @@ from mdrnet.network import (
 )
 from mdrnet.training import build_model
 
-from conftest import make_tiny_encoder, make_tiny_lstm, scalar_convlstm_step
+from conftest import add, make_tiny_encoder, make_tiny_lstm, scalar_convlstm_step
 
 
 def zero_params(param_obj):
@@ -134,7 +134,7 @@ def _lstm_loss(rng, width):
     def loss(first, second=None):
         logits = engine.fully_connected(first, wa, bias)
         if second is not None:
-            logits = engine.add(logits, engine.fully_connected(second, wb, bias))
+            logits = add(logits, engine.fully_connected(second, wb, bias))
         return engine.softmax_cross_entropy(logits, np.array([1, 2]))
 
     return loss

@@ -3,7 +3,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from mdrnet import training, voxel
+from mdrnet import engine, network, training, voxel
+from mdrnet.network import NetworkError
 from mdrnet.training import (
     ConfigError,
     TrainConfig,
@@ -62,6 +63,8 @@ class TestConfig:
             "decay = 1.5",
             "descriptor_readout = mean",
             "g_updates_dis = maybe",
+            "lr_gen = nan",
+            "lr_dis = inf",
         ):
             with pytest.raises(ConfigError):
                 parse_config(text)
@@ -100,6 +103,31 @@ class TestBuildModel:
     def test_unknown_mode(self):
         with pytest.raises(ConfigError):
             build_model("vae", N_CLASSES)
+
+
+class TestGridShapes:
+    @staticmethod
+    def cube(n):
+        arr = np.zeros((n, n, n), dtype=np.uint8)
+        arr[2 : n - 2, 3 : n - 3, 4 : n - 4] = 1
+        return voxel.LabeledShape(voxel.VoxelGrid.from_array(arr), 1, "c", f"c{n}")
+
+    def test_mixed_cube_sizes_rejected(self):
+        with pytest.raises(voxel.DatasetError):
+            prepare_inputs([self.cube(30), self.cube(24)], 3)
+
+    def test_no_shapes_rejected(self):
+        with pytest.raises(voxel.DatasetError):
+            prepare_inputs([], 3)
+
+    @pytest.mark.parametrize("mode", ["cnn_only", "full"])
+    def test_encoder_output_must_be_2x2(self, mode):
+        model = build_model(mode, N_CLASSES, seed=1)
+        with engine.no_grad():
+            assert model.latent(prepare_inputs([self.cube(24)], 3)[0]).shape == (1, 1024)
+            for n in (36, 60):
+                with pytest.raises(NetworkError):
+                    model.latent(prepare_inputs([self.cube(n)], 3)[0])
 
 
 @pytest.fixture(scope="module")
@@ -223,6 +251,34 @@ class TestCheckpoint:
     def test_initial_checkpoint_digest(self, mode, digest):
         data = Trainer(TrainConfig(mode=mode, seed=7), N_CLASSES).save()
         assert hashlib.sha256(data).hexdigest() == digest
+
+    @pytest.mark.parametrize("name, value", [
+        ("/meta/mode_id", 9),
+        ("/meta/mode_id", -1),
+        ("/meta/mode_id", 0.5),
+        ("/meta/readout_id", 5),
+        ("/meta/n_classes", 4.5),
+        ("/meta/n_classes", 0),
+        ("/meta/k", 0),
+        ("/meta/k", [3.0, 3.0]),
+        ("/meta/epoch", -3),
+        ("/meta/epoch", np.nan),
+        ("/meta/k", None),
+        ("/opt/gen.t", None),
+        ("/opt/head.t", -1),
+        ("/opt/gen.enc0.w.m", None),
+        ("/opt/head.fc0.b.v", np.zeros(3)),
+        ("gen.enc0.b", np.zeros(3)),
+    ])
+    def test_bad_record_rejected(self, name, value):
+        records = network.load_records(Trainer(TrainConfig(mode="cnn_only", seed=7), N_CLASSES).save())
+        assert name in records
+        if value is None:
+            del records[name]
+        else:
+            records[name] = np.asarray(value, dtype=np.float64)
+        with pytest.raises(NetworkError):
+            Trainer.restore(network.save_records(records))
 
 
 class TestMetricsCsv:

@@ -184,9 +184,10 @@ class TestDataset:
 
     def test_bad_manifest_line(self, tmp_path):
         p = tmp_path / "manifest.tsv"
-        p.write_text("foo.binvox\tsphere\tvalidation\n")
-        with pytest.raises(DatasetError):
-            voxel.load_dataset(p)
+        for data in ("foo.binvox\tsphere\tvalidation\n".encode(), b"\xff\xfe\n"):
+            p.write_bytes(data)
+            with pytest.raises(DatasetError):
+                voxel.load_dataset(p)
 
     def test_invalid_grid_rejected(self):
         with pytest.raises(ValueError):
