@@ -283,45 +283,42 @@ def _conv_taps(h, w, kh, kw):
 
 
 def _unroll(kernels, taps):
-    """G (O, C, kh, kw) kernels as one dense (C*P, P*G*O) matrix.
+    """G (O, C, kh, kw) kernels, stacked, as one dense (C*P, P*G*O) matrix.
 
     Rows are (c, q) and columns (p, gate, o): a channel-first input row
     times the matrix gives all G stride-1 "same" convs, channels-last.
     """
-    w = np.stack([k.data for k in kernels])
-    g, o, c, kh, kw = w.shape
+    g, o, c, kh, kw = kernels.shape
     table = np.zeros((c, kh * kw + 1, g * o))  # the last tap stays zero
-    table[:, :-1] = w.transpose(2, 3, 4, 0, 1).reshape(c, kh * kw, g * o)
+    table[:, :-1] = kernels.transpose(2, 3, 4, 0, 1).reshape(c, kh * kw, g * o)
     return np.take(table, taps, axis=1).reshape(c * len(taps), -1)
 
 
-def _fold(dense, taps, kernels):
-    """Adjoint of _unroll: accumulate a dense-matrix gradient into the kernels."""
-    o, c, kh, kw = kernels[0].shape
+def _fold(dense, taps, shape):
+    """Adjoint of _unroll: the (G, O, C, kh, kw) kernel gradient of a dense one."""
+    g, o, c, kh, kw = shape
     p = len(taps)
     blocks = dense.reshape(c, p, p, -1)
     table = np.zeros((c, kh * kw + 1, blocks.shape[-1]))
     for q in range(p):
         for r in range(p):
             table[:, taps[q, r]] += blocks[:, q, r]
-    grads = table[:, :-1].reshape(c, kh, kw, len(kernels), o).transpose(3, 4, 0, 1, 2)
     # C order, as the optimizer's moments are: mixed layouts slow Adam down
-    for k, grad in zip(kernels, np.ascontiguousarray(grads)):
-        if _needs_grad(k):
-            k.accumulate(grad)
+    return np.ascontiguousarray(table[:, :-1].reshape(c, kh, kw, g, o).transpose(3, 4, 0, 1, 2))
 
 
-def convlstm(x, kernels_x, kernels_h, peepholes, biases, h0=None, c0=None):
+def convlstm(x, w_x, w_h, w_c, b, h0=None, c0=None):
     """Peephole ConvLSTM over a (B, T, C, H, W) sequence; returns the final (h, c).
 
-    Gates in the order i, f, c, o. kernels_x and kernels_h hold one
-    (C, C, kh, kw) stride-1 "same" kernel per gate, peepholes the
-    (C, H, W) Hadamard weights of i, f and o, biases one (C,) vector per
-    gate. With * a conv and . a Hadamard product, each step computes
-        i = sigmoid(W_xi * x + W_hi * h + w_ci . c + b_i)
-        f = sigmoid(W_xf * x + W_hf * h + w_cf . c + b_f)
-        c' = f . c + i . tanh(W_xc * x + W_hc * h + b_c)
-        o = sigmoid(W_xo * x + W_ho * h + w_co . c' + b_o)
+    Parameters are stacked by gate in the order i, f, c, o: w_x and w_h
+    are (4, C, C, kh, kw) stride-1 "same" input and recurrent kernels,
+    w_c the (3, C, H, W) Hadamard peepholes of i, f and o, b the (4, C)
+    biases. With * a conv, . a Hadamard product and [g] a gate's slice,
+    each step computes
+        i = sigmoid(w_x[i] * x + w_h[i] * h + w_c[0] . c + b[i])
+        f = sigmoid(w_x[f] * x + w_h[f] * h + w_c[1] . c + b[f])
+        c' = f . c + i . tanh(w_x[c] * x + w_h[c] * h + b[c])
+        o = sigmoid(w_x[o] * x + w_h[o] * h + w_c[2] . c' + b[o])
         h' = o . tanh(c')
     from (B, C, H, W) start states h0 and c0; None starts from zeros.
 
@@ -333,21 +330,18 @@ def convlstm(x, kernels_x, kernels_h, peepholes, biases, h0=None, c0=None):
     The two outputs share one forward; each runs the reverse walk for
     its own gradient, which sums correctly because the walk is linear.
     """
-    x = _as_tensor(x)
-    kernels_x = [_as_tensor(k) for k in kernels_x]
-    kernels_h = [_as_tensor(k) for k in kernels_h]
-    peepholes = [_as_tensor(p) for p in peepholes]
-    biases = [_as_tensor(b) for b in biases]
+    x, w_x, w_h, w_c, b = (_as_tensor(t) for t in (x, w_x, w_h, w_c, b))
     h0, c0 = (None if s is None else _as_tensor(s) for s in (h0, c0))
     starts = [s for s in (h0, c0) if s is not None]
     if x.ndim != 5 or x.shape[1] < 1:
         raise EngineError("convlstm expects a (B, T, C, H, W) input with T >= 1")
     B, T, C, H, W = x.shape
     P = H * W
-    if kernels_x[0].shape[:2] != (C, C):
-        raise EngineError(f"convlstm kernels {kernels_x[0].shape} do not fit {C} channels")
-    taps = _conv_taps(H, W, *kernels_x[0].shape[2:])
-    parents = (x, *kernels_x, *kernels_h, *peepholes, *biases, *starts)
+    if (w_x.ndim != 5 or w_x.shape[:3] != (4, C, C) or w_h.shape != w_x.shape
+            or w_c.shape != (3, C, H, W) or b.shape != (4, C)):
+        raise EngineError(f"convlstm parameters do not fit {C} channels on a {H}x{W} map")
+    taps = _conv_taps(H, W, *w_x.shape[3:])
+    parents = (x, w_x, w_h, w_c, b, *starts)
     record = _grad_enabled and any(_needs_grad(p) for p in parents)
 
     def channels_last(s):  # (B, C, H, W) -> (B, P, C) view
@@ -356,13 +350,13 @@ def convlstm(x, kernels_x, kernels_h, peepholes, biases, h0=None, c0=None):
     def channels_first(s):  # (B, P, C) -> contiguous (B, C*P) rows
         return s.transpose(0, 2, 1).reshape(B, C * P)
 
-    wx = _unroll(kernels_x, taps)
-    wh = _unroll(kernels_h, taps)
-    peep = [p.data.reshape(C, P).T for p in peepholes]
+    wx = _unroll(w_x.data, taps)
+    wh = _unroll(w_h.data, taps)
+    peep = w_c.data.reshape(3, C, P).transpose(0, 2, 1)
     xs = np.ascontiguousarray(x.data.transpose(1, 0, 2, 3, 4)).reshape(T * B, C * P)
     # time-major pre-activations; each step overwrites its own with the gates
     z = (xs @ wx).reshape(T, B, P, 4, C)
-    z += np.stack([b.data for b in biases])
+    z += b.data
     h = None if h0 is None else channels_last(h0.data)
     c = np.zeros((B, P, C)) if c0 is None else channels_last(c0.data)
     if record:
@@ -390,7 +384,7 @@ def convlstm(x, kernels_x, kernels_h, peepholes, biases, h0=None, c0=None):
         dh = np.zeros((B, P, C)) if dh_out is None else channels_last(dh_out)
         dc = np.zeros((B, P, C)) if dc_out is None else channels_last(dc_out)
         dz = np.empty_like(z)
-        dpeep = [np.zeros((P, C)) for _ in peep]
+        dpeep = np.zeros((3, P, C))
         # h0 gets no recurrent GEMM when it is absent or needs no gradient
         first = 0 if h0 is not None and _needs_grad(h0) else 1
         for t in reversed(range(T)):
@@ -410,20 +404,19 @@ def convlstm(x, kernels_x, kernels_h, peepholes, biases, h0=None, c0=None):
             if t >= first:
                 dh = channels_last((dz[t].reshape(B, -1) @ wh.T).reshape(B, C, H, W))
         dz_rows = dz.reshape(T * B, -1)
-        if any(_needs_grad(k) for k in kernels_x):
-            _fold(xs.T @ dz_rows, taps, kernels_x)
-        if any(_needs_grad(k) for k in kernels_h):
+        if _needs_grad(w_x):
+            w_x.accumulate(_fold(xs.T @ dz_rows, taps, w_x.shape))
+        if _needs_grad(w_h):
             s = 0 if h0 is not None else 1  # without h0 the first step has no h
-            _fold(h_rows[s:].reshape(-1, C * P).T @ dz[s:].reshape(-1, 4 * C * P), taps, kernels_h)
+            dense = h_rows[s:].reshape(-1, C * P).T @ dz[s:].reshape(-1, 4 * C * P)
+            w_h.accumulate(_fold(dense, taps, w_h.shape))
         if _needs_grad(x):
             dx = (dz_rows @ wx.T).reshape(T, B, C, H, W)
             x.accumulate(dx.transpose(1, 0, 2, 3, 4))
-        for b, db in zip(biases, dz.sum(axis=(0, 1, 2))):
-            if _needs_grad(b):
-                b.accumulate(db)
-        for p, dp in zip(peepholes, dpeep):
-            if _needs_grad(p):
-                p.accumulate(dp.T.reshape(C, H, W))
+        if _needs_grad(b):
+            b.accumulate(dz.sum(axis=(0, 1, 2)))
+        if _needs_grad(w_c):
+            w_c.accumulate(dpeep.transpose(0, 2, 1).reshape(3, C, H, W))
         if h0 is not None and _needs_grad(h0):
             h0.accumulate(channels_first(dh).reshape(B, C, H, W))
         if c0 is not None and _needs_grad(c0):

@@ -13,7 +13,8 @@ exactly a dense map, so the recurrence runs as dense gate GEMMs
 kernels are unrolled into two (1024, 4096) matrices on every forward,
 the input projection of all B*3k slices is one GEMM, and each step adds
 one recurrent GEMM and the gate arithmetic. The matrices are derived
-from the 15 stored ConvLSTM tensors and never saved.
+from the four stored ConvLSTM tensors (gate-stacked input kernels,
+recurrent kernels, peepholes and biases) and never saved.
 
 `training.Model` is the one place these layers and the FC head (built by
 `init_mlp`) are assembled into a model and run.
@@ -64,32 +65,20 @@ class SliceEncoderParams:
 
 @dataclass
 class ConvLstmParams:
-    """Gate kernels, Hadamard peephole tensors, and biases (one cell)."""
+    """One cell's parameters, stacked by gate in the order i, f, c, o, as
+    `engine.convlstm` reads them.
 
-    w_xi: Tensor
-    w_hi: Tensor
-    w_ci: Tensor
-    b_i: Tensor
-    w_xf: Tensor
-    w_hf: Tensor
-    w_cf: Tensor
-    b_f: Tensor
-    w_xc: Tensor
-    w_hc: Tensor
-    b_c: Tensor
-    w_xo: Tensor
-    w_ho: Tensor
-    w_co: Tensor
-    b_o: Tensor
+    w_x, w_h: (4, C, C, kh, kw) input and recurrent kernels;
+    w_c: (3, C, H, W) Hadamard peepholes of i, f and o; b: (4, C) biases.
+    """
+
+    w_x: Tensor
+    w_h: Tensor
+    w_c: Tensor
+    b: Tensor
 
     def tensors(self):
-        names = [
-            "w_xi", "w_hi", "w_ci", "b_i",
-            "w_xf", "w_hf", "w_cf", "b_f",
-            "w_xc", "w_hc", "b_c",
-            "w_xo", "w_ho", "w_co", "b_o",
-        ]
-        return [(f"gen.lstm.{n}", getattr(self, n)) for n in names]
+        return [(f"gen.lstm.{n}", getattr(self, n)) for n in ("w_x", "w_h", "w_c", "b")]
 
 
 def _uniform_fan_in(rng, shape, fan_in):
@@ -110,24 +99,18 @@ def init_encoder(rng, in_channels=1, channels=ENCODER_CHANNELS):
 
 
 def init_convlstm(rng, channels=LSTM_CHANNELS, spatial=LSTM_SPATIAL, kernel=LSTM_KERNEL):
+    kern = (channels, channels, kernel, kernel)
     fan_in = channels * kernel * kernel
-
-    def kern():
-        return _uniform_fan_in(rng, (channels, channels, kernel, kernel), fan_in)
-
-    def peephole():
-        return _uniform_fan_in(rng, (channels, spatial, spatial), channels)
-
-    def bias(value=0.0):
-        return Tensor(np.full(channels, value, dtype=np.float64), requires_grad=True)
-
-    # forget-gate bias starts at 1 so early recurrence keeps its state
-    return ConvLstmParams(
-        w_xi=kern(), w_hi=kern(), w_ci=peephole(), b_i=bias(),
-        w_xf=kern(), w_hf=kern(), w_cf=peephole(), b_f=bias(1.0),
-        w_xc=kern(), w_hc=kern(), b_c=bias(),
-        w_xo=kern(), w_ho=kern(), w_co=peephole(), b_o=bias(),
-    )
+    w_x, w_h, w_c = [], [], []
+    for gate in "ifco":  # this draw order fixes each seed's values
+        w_x.append(_uniform_fan_in(rng, kern, fan_in).data)
+        w_h.append(_uniform_fan_in(rng, kern, fan_in).data)
+        if gate != "c":  # the cell candidate has no peephole
+            w_c.append(_uniform_fan_in(rng, (channels, spatial, spatial), channels).data)
+    b = np.zeros((4, channels))
+    b[1] = 1.0  # forget-gate bias starts at 1 so early recurrence keeps its state
+    stacked = (np.stack(w_x), np.stack(w_h), np.stack(w_c), b)
+    return ConvLstmParams(*(Tensor(a, requires_grad=True) for a in stacked))
 
 
 def init_mlp(rng, sizes):
@@ -158,20 +141,6 @@ def encode_slice(params: SliceEncoderParams, slice_input, slope=LEAKY_SLOPE):
     return engine.rms_normalize(x, axes=(-3, -2, -1))
 
 
-def _recurrence(params: ConvLstmParams, features, h0=None, c0=None):
-    """Final (h, c) of the ConvLSTM over (B, T, C, H, W) features."""
-    p = params
-    return engine.convlstm(
-        features,
-        (p.w_xi, p.w_xf, p.w_xc, p.w_xo),
-        (p.w_hi, p.w_hf, p.w_hc, p.w_ho),
-        (p.w_ci, p.w_cf, p.w_co),
-        (p.b_i, p.b_f, p.b_c, p.b_o),
-        h0,
-        c0,
-    )
-
-
 def convlstm_step(params: ConvLstmParams, x_t, h_prev, c_prev):
     """One peephole ConvLSTM transition of (B, C, H, W) input and states.
 
@@ -179,7 +148,7 @@ def convlstm_step(params: ConvLstmParams, x_t, h_prev, c_prev):
     the given states.
     """
     features = engine.reshape(x_t, (x_t.shape[0], 1, *x_t.shape[1:]))
-    return _recurrence(params, features, h_prev, c_prev)
+    return engine.convlstm(features, params.w_x, params.w_h, params.w_c, params.b, h_prev, c_prev)
 
 
 def run_convlstm(params: ConvLstmParams, features, readout="cell"):
@@ -190,7 +159,7 @@ def run_convlstm(params: ConvLstmParams, features, readout="cell"):
     """
     if readout not in ("cell", "hidden"):
         raise NetworkError(f"unknown readout {readout!r}")
-    h, c = _recurrence(params, features)
+    h, c = engine.convlstm(features, params.w_x, params.w_h, params.w_c, params.b)
     final = c if readout == "cell" else h
     return engine.reshape(final, (final.shape[0], -1))
 

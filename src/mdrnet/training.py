@@ -12,8 +12,7 @@ Modes:
 In the adversarial modes each batch takes one discriminator step (push
 every descriptor toward the extra "ambiguous" class N+1, generator
 frozen) followed by one generator step (push toward the true label;
-gradients also update the discriminator so it learns the real classes —
-see the g_updates_dis switch).
+gradients also update the discriminator so it learns the real classes).
 """
 from __future__ import annotations
 
@@ -51,7 +50,6 @@ class TrainConfig:
     decay: float = 0.995
     epochs: int = 60
     seed: int = 7
-    g_updates_dis: bool = True
     descriptor_readout: str = "cell"
 
     def __post_init__(self):
@@ -94,11 +92,7 @@ def parse_config(text) -> TrainConfig:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         kind = _CONFIG_TYPES[key]
         try:
-            if kind == "bool":
-                if val.lower() not in ("true", "false"):
-                    raise ValueError(val)
-                values[key] = val.lower() == "true"
-            elif kind == "int":
+            if kind == "int":
                 values[key] = int(val)
             elif kind == "float":
                 values[key] = float(val)
@@ -110,11 +104,7 @@ def parse_config(text) -> TrainConfig:
 
 
 def format_config(config: TrainConfig) -> str:
-    lines = []
-    for f in fields(TrainConfig):
-        v = getattr(config, f.name)
-        lines.append(f"{f.name} = {str(v).lower() if isinstance(v, bool) else v}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{f.name} = {getattr(config, f.name)}\n" for f in fields(TrainConfig))
 
 
 # ---------------------------------------------------------------------------
@@ -153,9 +143,8 @@ class Model:
         return out
 
     def head_tensors(self):
-        prefix = "dis" if self.adversarial else "head"
         return [
-            (f"{prefix}.fc{i}.{tag}", t)
+            (f"{_head_prefix(self.mode)}.fc{i}.{tag}", t)
             for i, (w, b) in enumerate(self.head)
             for tag, t in (("w", w), ("b", b))
         ]
@@ -200,19 +189,26 @@ class Model:
         return self.head_logits(self.latent(batch))
 
 
+def _head_prefix(mode):
+    return "dis" if mode in ADVERSARIAL_MODES else "head"
+
+
+def _head_sizes(mode, n_classes):
+    """Layer widths of the FC head, from the descriptor to the logits."""
+    if mode in ADVERSARIAL_MODES:  # the (N+1)-way discriminator
+        return (DESCRIPTOR_DIM, 128, 64, n_classes + 1)
+    if mode == "cnn_only":
+        return (DESCRIPTOR_DIM, 128, n_classes)
+    return (DESCRIPTOR_DIM, n_classes)  # cnn_rnn: single FC softmax over the descriptor
+
+
 def build_model(mode, n_classes, k=3, seed=0, descriptor_readout="cell") -> Model:
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}")
     rng = np.random.default_rng([int(seed) & 0xFFFFFFFFFFFFFFFF, 0x3DA])
     encoder = network.init_encoder(rng)
     lstm = network.init_convlstm(rng) if mode in ("cnn_rnn", "full") else None
-    if mode in ADVERSARIAL_MODES:  # the (N+1)-way discriminator
-        sizes = (DESCRIPTOR_DIM, 128, 64, n_classes + 1)
-    elif mode == "cnn_only":
-        sizes = (DESCRIPTOR_DIM, 128, n_classes)
-    else:  # cnn_rnn: single FC softmax over the descriptor
-        sizes = (DESCRIPTOR_DIM, n_classes)
-    head = network.init_mlp(rng, sizes)
+    head = network.init_mlp(rng, _head_sizes(mode, n_classes))
     return Model(mode, n_classes, k, descriptor_readout, encoder, lstm, head)
 
 
@@ -300,8 +296,7 @@ class Trainer:
         try:
             if eff_gen > 0:
                 self.opt_gen.step(lr=eff_gen)
-            if not self.model.adversarial or self.config.g_updates_dis:
-                self.opt_head.step(self.epoch)
+            self.opt_head.step(self.epoch)
         except engine.NonFiniteGradient as e:
             raise TrainingError(str(e)) from e
         return self._check_finite(loss.item()), correct
@@ -384,7 +379,7 @@ class Trainer:
                 raise NetworkError(f"checkpoint missing record {name}")
             if records[name].shape != shape:
                 raise NetworkError(f"checkpoint record {name} has shape {records[name].shape}, not {shape}")
-            return records[name].copy()
+            return records[name]  # load_records made it a fresh array
 
         def count(name, low, high=math.inf):
             value = float(record(name, ()))
@@ -398,6 +393,9 @@ class Trainer:
         readout = _READOUTS[count("/meta/readout_id", 0, len(_READOUTS) - 1)]
         if config is None:
             config = TrainConfig(mode=mode, k=k, descriptor_readout=readout)
+        # bound n_classes by the head's last weight before the model is allocated
+        sizes = _head_sizes(config.mode, n_classes)
+        record(f"{_head_prefix(config.mode)}.fc{len(sizes) - 2}.w", (sizes[-1], sizes[-2]))
         trainer = cls(config, n_classes)
         trainer.epoch = count("/meta/epoch", 0)
         for name, t in trainer.model.named_tensors().items():

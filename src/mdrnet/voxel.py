@@ -305,7 +305,8 @@ def load_dataset(manifest_path):
         if not line:
             continue
         parts = line.split("\t")
-        if len(parts) != 3 or parts[2] not in ("train", "test"):
+        # a NUL byte cannot be in a file name; open() would raise a bare ValueError
+        if len(parts) != 3 or parts[2] not in ("train", "test") or "\0" in parts[0]:
             raise DatasetError(f"bad manifest line {raw!r}")
         rel, cname, part = parts
         if cname not in classes:

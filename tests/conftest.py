@@ -44,23 +44,18 @@ def add(a, b):
 
 
 def make_tiny_lstm(rng, channels=4, spatial=2, kernel=3, scale=1.0):
-    def kern():
-        return Tensor(scale * rng.normal(size=(channels, channels, kernel, kernel)),
-                      requires_grad=True)
-
-    def peep():
-        return Tensor(scale * rng.normal(size=(channels, spatial, spatial)),
-                      requires_grad=True)
-
-    def bias(v=0.0):
-        return Tensor(np.full(channels, v, dtype=np.float64), requires_grad=True)
-
-    return ConvLstmParams(
-        w_xi=kern(), w_hi=kern(), w_ci=peep(), b_i=bias(),
-        w_xf=kern(), w_hf=kern(), w_cf=peep(), b_f=bias(1.0),
-        w_xc=kern(), w_hc=kern(), b_c=bias(),
-        w_xo=kern(), w_ho=kern(), w_co=peep(), b_o=bias(),
-    )
+    """Gate-stacked ConvLSTM parameters, drawn gate by gate (i, f, c, o):
+    input kernel, recurrent kernel, then the peephole (none for c)."""
+    w_x, w_h, w_c = [], [], []
+    for gate in "ifco":
+        w_x.append(scale * rng.normal(size=(channels, channels, kernel, kernel)))
+        w_h.append(scale * rng.normal(size=(channels, channels, kernel, kernel)))
+        if gate != "c":
+            w_c.append(scale * rng.normal(size=(channels, spatial, spatial)))
+    b = np.zeros((4, channels))
+    b[1] = 1.0
+    return ConvLstmParams(*(Tensor(a, requires_grad=True)
+                            for a in (np.stack(w_x), np.stack(w_h), np.stack(w_c), b)))
 
 
 def scalar_convlstm_step(p, x, h, c):
@@ -87,15 +82,11 @@ def scalar_convlstm_step(p, x, h, c):
     def sig(z):
         return 1.0 / (1.0 + np.exp(-z))
 
-    d = lambda t: t.data
-    bi = d(p.b_i)[:, None, None]
-    bf = d(p.b_f)[:, None, None]
-    bc = d(p.b_c)[:, None, None]
-    bo = d(p.b_o)[:, None, None]
-    i = sig(conv(x, d(p.w_xi)) + conv(h, d(p.w_hi)) + d(p.w_ci) * c + bi)
-    f = sig(conv(x, d(p.w_xf)) + conv(h, d(p.w_hf)) + d(p.w_cf) * c + bf)
-    cn = f * c + i * np.tanh(conv(x, d(p.w_xc)) + conv(h, d(p.w_hc)) + bc)
-    o = sig(conv(x, d(p.w_xo)) + conv(h, d(p.w_ho)) + d(p.w_co) * cn + bo)
+    w_x, w_h, w_c, b = p.w_x.data, p.w_h.data, p.w_c.data, p.b.data[:, :, None, None]
+    i = sig(conv(x, w_x[0]) + conv(h, w_h[0]) + w_c[0] * c + b[0])
+    f = sig(conv(x, w_x[1]) + conv(h, w_h[1]) + w_c[1] * c + b[1])
+    cn = f * c + i * np.tanh(conv(x, w_x[2]) + conv(h, w_h[2]) + b[2])
+    o = sig(conv(x, w_x[3]) + conv(h, w_h[3]) + w_c[2] * cn + b[3])
     return o * np.tanh(cn), cn
 
 

@@ -321,6 +321,22 @@ def bad_inputs(dataset_dir, tmp_path_factory):
     cases["eval_nan_descriptors"] = ["eval", "--descriptors", str(tmp / "nan.ddsd"),
                                      "--data", str(singles), "--out", str(tmp / "e")]
 
+    # a full checkpoint in the earlier layout: one record per gate, named
+    # by the stacked tensor plus the gate's letter (b_ in place of b)
+    full = training.Trainer(training.TrainConfig(mode="full", seed=7), 4).to_records()
+    per_gate = {name: array for name, array in full.items() if "gen.lstm." not in name}
+    c, kern, side = network.LSTM_CHANNELS, network.LSTM_KERNEL, network.LSTM_SPATIAL
+    for stem, gates, shape in (("w_x", "ifco", (c, c, kern, kern)), ("w_h", "ifco", (c, c, kern, kern)),
+                               ("w_c", "ifo", (c, side, side)), ("b_", "ifco", (c,))):
+        for gate in gates:
+            for prefix, suffix in (("", ""), ("/opt/", ".m"), ("/opt/", ".v")):
+                per_gate[f"{prefix}gen.lstm.{stem}{gate}{suffix}"] = np.zeros(shape)
+    (tmp / "per_gate.mdrnet").write_bytes(network.save_records(per_gate))
+    cases["checkpoint_per_gate_lstm"] = extract(tmp / "per_gate.mdrnet")
+
+    (tmp / "nul").mkdir()
+    (tmp / "nul" / "manifest.tsv").write_bytes(b"s\x00.binvox\tc\ttest\n")
+    cases["manifest_nul_path"] = extract(tmp / "good.mdrnet", tmp / "nul")
     (tmp / "latin1").mkdir()
     (tmp / "latin1" / "manifest.tsv").write_bytes(b"s\xe9.binvox\tc\ttest\n")
     cases["manifest_not_utf8"] = extract(tmp / "good.mdrnet", tmp / "latin1")
@@ -339,7 +355,7 @@ BAD_INPUTS = [
     "checkpoint/opt/gen.t=None", "binvox_dim_0", "mdr_export_k0", "mdr_export_30x30x60", "extract_30x30x60",
     "extract_mixed", "extract_cube36", "extract_cube60", "eval_no_relevant_item",
     "eval_nan_descriptors", "manifest_not_utf8", "extract_empty_split", "config_lr_nan",
-    "config_not_utf8",
+    "config_not_utf8", "checkpoint_per_gate_lstm", "manifest_nul_path",
 ]
 
 

@@ -1,16 +1,20 @@
 """Property tests of the file readers: on any input, arbitrary or
 structured but wrong, each reader returns a well-formed value or raises
-its own module's typed error, never anything else."""
+its own module's typed error, never anything else. The one exception is
+a manifest naming a missing file or a directory: that is an OSError,
+the CLI's I/O exit code."""
 import struct
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mdrnet import network
 from mdrnet.network import DESCRIPTOR_DIM, NetworkError, load_descriptors, load_records
 from mdrnet.training import ConfigError, TrainConfig, parse_config
-from mdrnet.voxel import BinvoxError, VoxelGrid, load_binvox
+from mdrnet.voxel import (BinvoxError, DatasetError, VoxelGrid, generate_synthetic, load_binvox,
+                          load_dataset, save_binvox)
 
 FUZZ = settings(max_examples=150, deadline=None)
 
@@ -169,3 +173,49 @@ def test_parse_config_arbitrary_input(text):
 @example([("lr_dis", " = ", "inf")])
 def test_parse_config_structured(lines):
     check_config("\n".join(k + sep + v for k, sep, v in lines))
+
+
+# ---------------------------------------------------------------------------
+# dataset manifests
+
+MANIFEST_PATHS = ["ok.binvox", "sub/ok.binvox", "bad.binvox", "missing.binvox", "sub", "", ".",
+                  "s\0.binvox", "x" * 300]
+MANIFEST_FIELDS = ["c", "d", "", "train", "test", "val"]
+
+
+@pytest.fixture(scope="module")
+def manifest_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("manifests")
+    (root / "sub").mkdir()
+    for path in ("ok.binvox", "sub/ok.binvox"):
+        (root / path).write_bytes(save_binvox(generate_synthetic("sphere", 0)))
+    (root / "bad.binvox").write_bytes(b"#binvox 1\ndim 0 30 30\ndata\n")
+    return root
+
+
+def check_dataset(root, data):
+    (root / "manifest.tsv").write_bytes(data)
+    try:
+        dataset = load_dataset(root / "manifest.tsv")
+    except (DatasetError, BinvoxError, OSError):
+        return
+    assert dataset.shapes and all(isinstance(s.grid, VoxelGrid) for s in dataset.shapes)
+    assert set(dataset.split.values()) <= {"train", "test"}
+
+
+@FUZZ
+@given(st.binary(max_size=120))
+@example(b"s\x00.binvox\tc\ttest\n")
+def test_load_dataset_arbitrary_bytes(manifest_dir, data):
+    check_dataset(manifest_dir, data)
+
+
+@FUZZ
+@given(st.lists(st.tuples(st.sampled_from(MANIFEST_PATHS),
+                          st.lists(st.sampled_from(MANIFEST_FIELDS), max_size=3),
+                          st.sampled_from(["\t", " "])), max_size=3))
+@example([("ok.binvox", ["c", "train"], "\t"), ("sub/ok.binvox", ["d", "test"], "\t")])
+@example([("ok.binvox", ["c", "train"], "\t"), ("s\0.binvox", ["c", "test"], "\t")])
+def test_load_dataset_structured(manifest_dir, lines):
+    text = "\n".join(sep.join([path, *fields]) for path, fields, sep in lines)
+    check_dataset(manifest_dir, text.encode("utf-8"))

@@ -1,0 +1,51 @@
+"""What the benchmark harness in `perfbench/` relies on in mdrnet.
+
+The harness patches mdrnet from outside, by attribute and parameter name,
+so a rename in mdrnet breaks it without an import error. These tests only
+read `perfbench/`; they pin the names it patches, the parameter names it
+groups layers by, and the d+g step clock that gives `op_p50_s`.
+"""
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from mdrnet import engine, training, voxel
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import spans  # noqa: E402
+import workloads  # noqa: E402
+
+
+def test_traced_attributes_exist():
+    for owner, attr, name, _ in spans.TRACED:
+        assert callable(getattr(owner, attr, None)), name
+    for owner, attr in ((training, "build_model"), (engine, "conv2d"),
+                        (engine, "fully_connected"), (engine, "adam_step")):
+        assert callable(getattr(owner, attr, None)), attr
+    originals = [getattr(owner, attr) for owner, attr, _, _ in spans.TRACED]
+    with spans.Recorder().instrument():
+        pass
+    assert originals == [getattr(owner, attr) for owner, attr, _, _ in spans.TRACED]
+
+
+def test_kernel_groups_of_full_model():
+    names = training.build_model("full", 4, seed=0).named_tensors()
+    groups = {name: spans._group_of(name) for name in names}
+    assert groups["gen.lstm.w_x"] == "lstm_x"
+    assert groups["gen.lstm.w_h"] == "lstm_h"
+    assert [groups[f"gen.enc{i}.w"] for i in range(4)] == ["enc0", "enc1", "enc2", "enc3"]
+    assert set(spans.CONV_GROUPS) <= set(groups.values())
+
+
+def test_train_clock_times_every_batch():
+    synth = voxel.build_synthetic_dataset(list(voxel.SYNTHETIC_CLASSES), 2, 1)
+    x, y, _ = training.prepare_inputs(synth.shapes, 3)
+    trainer = training.Trainer(training.TrainConfig(mode="cnn_adv", batch_size=3, seed=1), 4)
+    d_step, g_step = training.Trainer.d_step, training.Trainer.g_step
+    steps = []
+    with workloads.Train("cnn_adv").clock(steps):
+        trainer.train_epoch(x, y)
+    assert [n for n, _ in steps] == [3, 3, 2]
+    assert all(np.isfinite(s) and s > 0 for _, s in steps)
+    assert (training.Trainer.d_step, training.Trainer.g_step) == (d_step, g_step)

@@ -46,12 +46,14 @@ class TestConfig:
         assert cfg.decay == 0.995 and cfg.k == 3
 
     def test_parse_round_trip(self):
-        cfg = TrainConfig(mode="cnn_adv", epochs=5, seed=11, g_updates_dis=False)
+        cfg = TrainConfig(mode="cnn_adv", epochs=5, seed=11, descriptor_readout="hidden")
         assert parse_config(format_config(cfg)) == cfg
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("mode = full\nmomentum = 0.9\n")
+        with pytest.raises(ConfigError, match="unknown key"):  # a removed option
+            parse_config("g_updates_dis = true\n")
 
     def test_bad_values_rejected(self):
         for text in (
@@ -62,7 +64,6 @@ class TestConfig:
             "epochs = nope",
             "decay = 1.5",
             "descriptor_readout = mean",
-            "g_updates_dis = maybe",
             "lr_gen = nan",
             "lr_dis = inf",
         ):
@@ -244,9 +245,9 @@ class TestCheckpoint:
     # Init makes no BLAS call, so the digests hold for a given NumPy build.
     @pytest.mark.parametrize("mode, digest", [
         ("cnn_only", "f40f23f234798e577916ef489fcef7c9da95397741806b47ed0bed1ccdd6579a"),
-        ("cnn_rnn", "20312438f27a6b052a5cc105e87b50786e7ad13daaf2974156e6ff15b41a5976"),
+        ("cnn_rnn", "66c5e6ea23e7416fb72adb248a854d1aabac071a581193c691a78df4194dd519"),
         ("cnn_adv", "88bee1a099d6e9690a5e989d567f8ca91e3291f3dec4ec52678513fd77450e7d"),
-        ("full", "77618e6d0c085760e09a2e24e41ee479f0154a3e6d4a800ac22a5c1463a5e0f3"),
+        ("full", "7cdb5b1026b688aa928eea5626467b10ab300d1013c56e020e3be8e203650836"),
     ])
     def test_initial_checkpoint_digest(self, mode, digest):
         data = Trainer(TrainConfig(mode=mode, seed=7), N_CLASSES).save()
@@ -278,6 +279,18 @@ class TestCheckpoint:
         else:
             records[name] = np.asarray(value, dtype=np.float64)
         with pytest.raises(NetworkError):
+            Trainer.restore(network.save_records(records))
+
+
+    def test_n_classes_checked_before_model_is_built(self, monkeypatch):
+        records = network.load_records(Trainer(TrainConfig(mode="cnn_only", seed=7), N_CLASSES).save())
+        records["/meta/n_classes"] = np.float64(200_000)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("build_model ran before n_classes was checked")
+
+        monkeypatch.setattr(training, "build_model", refuse)
+        with pytest.raises(NetworkError, match="head.fc1.w"):
             Trainer.restore(network.save_records(records))
 
 
