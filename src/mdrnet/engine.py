@@ -171,7 +171,7 @@ def mean_axis(a, axis):
     n = a.shape[axis]
 
     def backward(g):
-        a.accumulate(np.expand_dims(g, axis) * np.ones(a.shape) / n)
+        a.accumulate(np.broadcast_to(np.expand_dims(g, axis) / n, a.shape))
 
     return _make(a.data.mean(axis=axis), (a,), backward)
 

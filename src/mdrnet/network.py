@@ -168,22 +168,17 @@ def run_convlstm(params: ConvLstmParams, features, readout="cell"):
 # checkpoint serialization
 
 
-def _write_record(out, name, array):
-    nb = name.encode("utf-8")
-    out += struct.pack("<I", len(nb))
-    out += nb
-    out += struct.pack("<I", array.ndim)
-    for d in array.shape:
-        out += struct.pack("<I", d)
-    out += np.ascontiguousarray(array, dtype="<f8").tobytes()
-
-
 def save_records(records):
-    """Serialize an ordered {name: float64 array} mapping."""
-    out = bytearray(CHECKPOINT_MAGIC)
+    """Serialize an ordered {name: float64 array} mapping: per record the
+    name length, UTF-8 name, rank and shape as little-endian u32s, then
+    the little-endian float64 values."""
+    pieces = [CHECKPOINT_MAGIC]
     for name, array in records.items():
-        _write_record(out, name, np.asarray(array, dtype=np.float64))
-    return bytes(out)
+        nb = name.encode("utf-8")
+        array = np.asarray(array, dtype="<f8", order="C")
+        pieces.append(struct.pack(f"<I{len(nb)}sI{array.ndim}I", len(nb), nb, array.ndim, *array.shape))
+        pieces.append(array)  # joined through the buffer protocol, no tobytes() copy
+    return b"".join(pieces)
 
 
 def load_records(data):

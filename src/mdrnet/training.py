@@ -13,6 +13,8 @@ In the adversarial modes each batch takes one discriminator step (push
 every descriptor toward the extra "ambiguous" class N+1, generator
 frozen) followed by one generator step (push toward the true label;
 gradients also update the discriminator so it learns the real classes).
+The discriminator step moves only the head, so its generator forward,
+recorded with its graph, also serves the generator step of the batch.
 """
 from __future__ import annotations
 
@@ -185,9 +187,6 @@ class Model:
                 x = engine.leaky_rectifier(x, network.LEAKY_SLOPE)
         return x
 
-    def logits(self, batch):
-        return self.head_logits(self.latent(batch))
-
 
 def _head_prefix(mode):
     return "dis" if mode in ADVERSARIAL_MODES else "head"
@@ -256,6 +255,7 @@ class Trainer:
         )
         self.epoch = 0
         self.metrics = []
+        self._latent = None  # (x_batch, latent) of the last d_step, for its g_step
 
     # -- single steps ------------------------------------------------------
 
@@ -265,12 +265,16 @@ class Trainer:
         return loss
 
     def d_step(self, x_batch, y_batch=None):
-        """Push the frozen generator's descriptors toward the extra class."""
+        """Push the frozen generator's descriptors toward the extra class.
+
+        The generator forward keeps its graph, and `g_step` on the same
+        batch array reuses it: this step moves only the head, so a second
+        forward would give the same bits."""
         if len(x_batch) == 0:
             raise TrainingError("empty batch")
-        with engine.no_grad():
-            z = self.model.latent(x_batch)
-        logits = self.model.head_logits(Tensor(z.data))
+        self._latent = None
+        z = self.model.latent(x_batch)
+        logits = self.model.head_logits(Tensor(z.data))  # detached: the loss reaches only the head
         targets = np.full(len(x_batch), self.model.n_classes, dtype=np.int64)
         loss = engine.softmax_cross_entropy(logits, targets)
         self.opt_head.zero_grad()
@@ -279,13 +283,22 @@ class Trainer:
             self.opt_head.step(self.epoch)
         except engine.NonFiniteGradient as e:
             raise TrainingError(str(e)) from e
+        self._latent = (x_batch, z)
         return self._check_finite(loss.item())
 
     def g_step(self, x_batch, y_batch, lr_gen=None):
-        """One step toward the true labels, through the whole generator."""
+        """One step toward the true labels, through the whole generator.
+
+        Reuses the latent of the preceding `d_step` when given the very
+        same batch array; any other array gets its own forward."""
         if len(x_batch) == 0:
             raise TrainingError("empty batch")
-        logits = self.model.logits(x_batch)
+        cached, self._latent = self._latent, None
+        if cached is not None and cached[0] is x_batch:
+            z = cached[1]
+        else:
+            z = self.model.latent(x_batch)
+        logits = self.model.head_logits(z)
         loss = engine.softmax_cross_entropy(logits, y_batch)
         preds = logits.data[:, : self.model.n_classes].argmax(axis=1)
         correct = int((preds == y_batch).sum())
@@ -333,6 +346,7 @@ class Trainer:
 
     def extract(self, x, batch_size=64):
         """Forward-only latents for (n, 3k, D, D) inputs: (n, 1024)."""
+        self._latent = None
         outs = []
         with engine.no_grad():
             for start in range(0, len(x), batch_size):
@@ -366,6 +380,7 @@ class Trainer:
         return records
 
     def save(self):
+        self._latent = None
         return network.save_records(self.to_records())
 
     @classmethod

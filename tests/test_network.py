@@ -335,6 +335,22 @@ class TestCheckpointRecords:
         for k in records:
             assert np.array_equal(np.asarray(records[k]), loaded[k])
 
+    def test_byte_layout(self):
+        # scalar, empty, non-contiguous and integer records, with a non-ASCII name
+        t = np.arange(6.0).reshape(2, 3).T
+        records = {"/meta/s": np.float64(2.5), "é": np.zeros((2, 0)), "t": t, "i": np.arange(2)}
+        expected = network.CHECKPOINT_MAGIC
+        for name, shape, values in (
+            ("/meta/s", (), [2.5]),
+            ("é", (2, 0), []),
+            ("t", (3, 2), [0.0, 3.0, 1.0, 4.0, 2.0, 5.0]),
+            ("i", (2,), [0.0, 1.0]),
+        ):
+            nb = name.encode("utf-8")
+            expected += struct.pack(f"<I{len(nb)}sI{len(shape)}I", len(nb), nb, len(shape), *shape)
+            expected += struct.pack(f"<{len(values)}d", *values)
+        assert save_records(records) == expected
+
     def test_magic_enforced(self):
         with pytest.raises(NetworkError):
             load_records(b"NOTMAGIC" + bytes(16))

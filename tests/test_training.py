@@ -93,7 +93,7 @@ class TestBuildModel:
         from mdrnet import engine
 
         with engine.no_grad():
-            logits = m.logits(np.zeros((2, 9, 30, 30)))
+            logits = m.head_logits(m.latent(np.zeros((2, 9, 30, 30))))
         assert np.allclose(engine.softmax(logits.data), 1.0 / N_CLASSES)
 
     def test_cnn_adv_pools_without_lstm(self):
@@ -210,6 +210,64 @@ class TestTrainEpoch:
         for e in (0, 3, 60):
             assert tr.opt_gen.lr_at_epoch(e) == 0.01 * 0.995**e
             assert tr.opt_head.lr_at_epoch(e) == 0.001 * 0.995**e
+
+
+class FreshForwardTrainer(Trainer):
+    """Reference: g_step gets a copy of the batch, so it runs its own
+    generator forward instead of the d_step's."""
+
+    def g_step(self, x_batch, y_batch, lr_gen=None):
+        return super().g_step(x_batch.copy(), y_batch, lr_gen)
+
+
+class TestSharedForward:
+    @pytest.mark.parametrize("mode", ["cnn_adv", "full"])
+    def test_epochs_match_fresh_forward_reference(self, mode):
+        x, y, _ = small_batch(7)
+        cfg = TrainConfig(mode=mode, batch_size=3, seed=8)
+        shared, fresh = Trainer(cfg, N_CLASSES), FreshForwardTrainer(cfg, N_CLASSES)
+        for _ in range(2):
+            assert shared.train_epoch(x, y) == fresh.train_epoch(x, y)
+        got, want = shared.to_records(), fresh.to_records()
+        assert list(got) == list(want)
+        for name in want:  # every parameter, Adam moment and step count
+            assert np.array_equal(got[name], want[name]), name
+
+    def test_one_latent_per_adversarial_batch(self, monkeypatch):
+        calls = []
+        latent = training.Model.latent
+
+        def counted(model, batch):
+            calls.append(len(batch))
+            return latent(model, batch)
+
+        monkeypatch.setattr(training.Model, "latent", counted)
+        x, y, _ = small_batch(5)
+        tr = Trainer(TrainConfig(mode="cnn_adv", batch_size=3, seed=1), N_CLASSES)
+        tr.train_epoch(x, y)
+        assert calls == [3, 2]
+        assert tr._latent is None
+
+        xb, yb = x[:3], y[:3]
+        for g_input, expected in ((xb, [3]), (xb.copy(), [3, 3])):  # a new array is a new forward
+            calls.clear()
+            tr.d_step(xb)
+            tr.g_step(g_input, yb)
+            assert calls == expected
+            assert tr._latent is None
+
+    @pytest.mark.parametrize("then", [
+        lambda tr, x, y: tr.train_epoch(x, y),
+        lambda tr, x, y: tr.extract(x),
+        lambda tr, x, y: tr.save(),
+    ], ids=["train_epoch", "extract", "save"])
+    def test_pending_latent_dropped(self, then):
+        x, y, _ = small_batch(3)
+        tr = Trainer(TrainConfig(mode="cnn_adv", batch_size=3, seed=1), N_CLASSES)
+        tr.d_step(x)
+        assert tr._latent is not None
+        then(tr, x, y)
+        assert tr._latent is None
 
 
 class TestCheckpoint:
