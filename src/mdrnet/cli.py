@@ -163,9 +163,7 @@ def cmd_eval(args):
         )
         summary["accuracy"] = evaluation.accuracy(preds, id_labels)
 
-    results = evaluation.leave_one_out_retrieval(
-        ids, vecs, list(id_labels), metric=args.metric
-    )
+    results = evaluation.leave_one_out_retrieval(ids, vecs, list(id_labels))
     mean_ap, excluded = evaluation.mean_ap(results)
     summary["map"] = mean_ap
     summary["excluded_queries"] = excluded
@@ -222,7 +220,6 @@ def build_parser():
     p.add_argument("--checkpoint")
     p.add_argument("--descriptors")
     p.add_argument("--data", required=True)
-    p.add_argument("--metric", choices=("euclidean", "cosine"), default="euclidean")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
     return parser

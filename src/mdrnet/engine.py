@@ -141,14 +141,14 @@ def leaky_rectifier(a, slope=0.2):
     return _make(np.where(mask, a.data, slope * a.data), (a,), backward)
 
 
-def rms_normalize(a, axes, eps=1e-8):
-    """a / sqrt(mean(a**2 over `axes`) + eps): unit root-mean-square per group.
+def rms_normalize(a, axes):
+    """a / sqrt(mean(a**2 over `axes`) + 1e-8): unit root-mean-square per group.
 
     Parameter-free and invariant to a positive rescaling of `a`; an
     all-zero group stays exactly zero.
     """
     a = _as_tensor(a)
-    r = 1.0 / np.sqrt(np.mean(a.data * a.data, axis=axes, keepdims=True) + eps)
+    r = 1.0 / np.sqrt(np.mean(a.data * a.data, axis=axes, keepdims=True) + 1e-8)
     out = a.data * r
 
     def backward(g):

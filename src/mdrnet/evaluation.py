@@ -38,9 +38,9 @@ class RetrievalResult:
     relevant: list  # bool per rank (same class as the query)
 
 
-def retrieve(query_id, query_vec, gallery_ids, gallery_vecs, gallery_labels,
-             query_label, metric="euclidean"):
-    """Rank the gallery (query excluded) by ascending descriptor distance.
+def retrieve(query_id, query_vec, gallery_ids, gallery_vecs, gallery_labels, query_label):
+    """Rank the gallery (query excluded) by ascending Euclidean distance
+    between descriptors.
 
     Ties are broken by ascending shape id so the ranking is independent
     of gallery input order.
@@ -54,16 +54,7 @@ def retrieve(query_id, query_vec, gallery_ids, gallery_vecs, gallery_labels,
             f"descriptor dimension mismatch: query {query_vec.shape[0]}, "
             f"gallery {gallery_vecs.shape[1]}"
         )
-    if metric == "euclidean":
-        dists = np.linalg.norm(gallery_vecs - query_vec, axis=1)
-    elif metric == "cosine":
-        qn = query_vec / max(np.linalg.norm(query_vec), 1e-300)
-        gn = gallery_vecs / np.maximum(
-            np.linalg.norm(gallery_vecs, axis=1, keepdims=True), 1e-300
-        )
-        dists = 1.0 - gn @ qn
-    else:
-        raise EvaluationError(f"unknown metric {metric!r}")
+    dists = np.linalg.norm(gallery_vecs - query_vec, axis=1)
     ids = np.asarray(gallery_ids)
     keep = np.flatnonzero(ids != query_id)
     order = keep[np.lexsort((ids[keep], dists[keep]))]
@@ -114,10 +105,10 @@ def pr_curve(result: RetrievalResult) -> PrCurve:
     return PrCurve(recall=cum / total, precision=cum / ranks)
 
 
-def interpolated_precision(curve: PrCurve, levels=RECALL_LEVELS):
+def interpolated_precision(curve: PrCurve):
     """Max precision at recall >= level, for each of the 11 standard levels."""
     best_after = np.append(np.maximum.accumulate(curve.precision[::-1])[::-1], 0.0)
-    return best_after[np.searchsorted(curve.recall, np.asarray(levels) - 1e-12)]
+    return best_after[np.searchsorted(curve.recall, RECALL_LEVELS - 1e-12)]
 
 
 def macro_pr(results):
@@ -148,12 +139,9 @@ def macro_pr_csv(results) -> str:
     return "\n".join(lines) + "\n"
 
 
-def leave_one_out_retrieval(ids, vecs, labels, metric="euclidean"):
+def leave_one_out_retrieval(ids, vecs, labels):
     """Each shape queries all the others; returns one result per query."""
-    return [
-        retrieve(ids[i], vecs[i], ids, vecs, labels, labels[i], metric=metric)
-        for i in range(len(ids))
-    ]
+    return [retrieve(ids[i], vecs[i], ids, vecs, labels, labels[i]) for i in range(len(ids))]
 
 
 def summary_text(values: dict) -> str:

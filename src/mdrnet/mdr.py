@@ -38,22 +38,6 @@ class MdrSequence:
         sl.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class NormalizedMdr:
-    """MdrSequence scaled by 1/n so cells lie in [0, 1]."""
-
-    k: int
-    n: int
-    slices: np.ndarray  # (3k, H, W) float64
-
-    def __post_init__(self):
-        sl = np.asarray(self.slices, dtype=np.float64)
-        if sl.min(initial=0.0) < 0.0 or sl.max(initial=0.0) > 1.0:
-            raise MdrError("normalized cells must lie in [0, 1]")
-        object.__setattr__(self, "slices", sl)
-        sl.setflags(write=False)
-
-
 def valid_slice_counts(dim):
     return [k for k in range(1, dim + 1) if dim % k == 0]
 
@@ -79,8 +63,9 @@ def compute_mdr(grid: VoxelGrid, k: int) -> MdrSequence:
     return MdrSequence(k=k, n=n, slices=np.stack(slices))
 
 
-def normalize_mdr(seq: MdrSequence) -> NormalizedMdr:
-    return NormalizedMdr(k=seq.k, n=seq.n, slices=seq.slices / seq.n)
+def normalize_mdr(seq: MdrSequence) -> np.ndarray:
+    """The (3k, H, W) float64 slices scaled by 1/n, so cells lie in [0, 1]."""
+    return seq.slices / seq.n
 
 
 def slice_name(seq: MdrSequence, index: int) -> str:

@@ -7,8 +7,9 @@ stack is positively homogeneous, so without that last step the feature
 scale grows with the product of the layer weight norms during training
 and saturates every ConvLSTM gate. The ConvLSTM consumes the 3k feature
 maps in sequence; its final cell state, flattened to 1024 values, is the
-shape descriptor. On the 2x2 state map each 3x3 "same" gate conv is
-exactly a dense map, so the recurrence runs as dense gate GEMMs
+shape descriptor (the paper's 3D-DDSD); the hidden state only feeds the
+recurrence. On the 2x2 state map each 3x3 "same" gate conv is exactly a
+dense map, so the recurrence runs as dense gate GEMMs
 (`engine.convlstm`): the four input kernels and the four recurrent
 kernels are unrolled into two (1024, 4096) matrices on every forward,
 the input projection of all B*3k slices is one GEMM, and each step adds
@@ -24,6 +25,7 @@ from __future__ import annotations
 import math
 import re
 import struct
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,10 +88,10 @@ def _uniform_fan_in(rng, shape, fan_in):
     return Tensor(rng.uniform(-s, s, size=shape), requires_grad=True)
 
 
-def init_encoder(rng, in_channels=1, channels=ENCODER_CHANNELS):
+def init_encoder(rng):
     layers = []
-    prev = in_channels
-    for c in channels:
+    prev = 1  # one density channel per slice
+    for c in ENCODER_CHANNELS:
         fan_in = prev * ENCODER_KERNEL * ENCODER_KERNEL
         w = _uniform_fan_in(rng, (c, prev, ENCODER_KERNEL, ENCODER_KERNEL), fan_in)
         b = Tensor(np.zeros(c), requires_grad=True)
@@ -98,15 +100,16 @@ def init_encoder(rng, in_channels=1, channels=ENCODER_CHANNELS):
     return SliceEncoderParams(layers)
 
 
-def init_convlstm(rng, channels=LSTM_CHANNELS, spatial=LSTM_SPATIAL, kernel=LSTM_KERNEL):
-    kern = (channels, channels, kernel, kernel)
-    fan_in = channels * kernel * kernel
+def init_convlstm(rng):
+    channels, side = LSTM_CHANNELS, LSTM_SPATIAL
+    kern = (channels, channels, LSTM_KERNEL, LSTM_KERNEL)
+    fan_in = channels * LSTM_KERNEL * LSTM_KERNEL
     w_x, w_h, w_c = [], [], []
     for gate in "ifco":  # this draw order fixes each seed's values
         w_x.append(_uniform_fan_in(rng, kern, fan_in).data)
         w_h.append(_uniform_fan_in(rng, kern, fan_in).data)
         if gate != "c":  # the cell candidate has no peephole
-            w_c.append(_uniform_fan_in(rng, (channels, spatial, spatial), channels).data)
+            w_c.append(_uniform_fan_in(rng, (channels, side, side), channels).data)
     b = np.zeros((4, channels))
     b[1] = 1.0  # forget-gate bias starts at 1 so early recurrence keeps its state
     stacked = (np.stack(w_x), np.stack(w_h), np.stack(w_c), b)
@@ -127,7 +130,7 @@ def init_mlp(rng, sizes):
 # forward passes (all accept a leading batch axis)
 
 
-def encode_slice(params: SliceEncoderParams, slice_input, slope=LEAKY_SLOPE):
+def encode_slice(params: SliceEncoderParams, slice_input):
     """Shared conv stack over (B, 1, H, W) or (1, H, W) slices.
 
     Each slice's (C, h, w) output is scaled to unit root-mean-square, so
@@ -137,7 +140,7 @@ def encode_slice(params: SliceEncoderParams, slice_input, slope=LEAKY_SLOPE):
     x = slice_input if isinstance(slice_input, Tensor) else Tensor(slice_input)
     for w, b in params.layers:
         x = engine.conv2d(x, w, b, stride=ENCODER_STRIDE)
-        x = engine.leaky_rectifier(x, slope)
+        x = engine.leaky_rectifier(x, LEAKY_SLOPE)
     return engine.rms_normalize(x, axes=(-3, -2, -1))
 
 
@@ -151,17 +154,11 @@ def convlstm_step(params: ConvLstmParams, x_t, h_prev, c_prev):
     return engine.convlstm(features, params.w_x, params.w_h, params.w_c, params.b, h_prev, c_prev)
 
 
-def run_convlstm(params: ConvLstmParams, features, readout="cell"):
-    """Fold a (B, T, C, H, W) feature sequence into a (B, C*H*W) latent.
-
-    readout selects the final cell state ("cell", the descriptor proper)
-    or the final hidden state ("hidden", kept for comparison).
-    """
-    if readout not in ("cell", "hidden"):
-        raise NetworkError(f"unknown readout {readout!r}")
-    h, c = engine.convlstm(features, params.w_x, params.w_h, params.w_c, params.b)
-    final = c if readout == "cell" else h
-    return engine.reshape(final, (final.shape[0], -1))
+def run_convlstm(params: ConvLstmParams, features):
+    """Fold a (B, T, C, H, W) feature sequence into its (B, C*H*W) final
+    cell state, the shape descriptor."""
+    _, c = engine.convlstm(features, params.w_x, params.w_h, params.w_c, params.b)
+    return engine.reshape(c, (c.shape[0], -1))
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +226,8 @@ def save_descriptors(ids, descriptors):
 
 
 def load_descriptors(data):
-    """Inverse of save_descriptors; any malformed table is a NetworkError."""
+    """Inverse of save_descriptors; any malformed table, or one that lists a
+    shape id twice, is a NetworkError."""
     try:
         lines = data.decode("utf-8").splitlines()
     except UnicodeDecodeError as e:
@@ -257,4 +255,7 @@ def load_descriptors(data):
         vecs.append(vec)
     if len(ids) != n:
         raise NetworkError("descriptor count does not match header")
+    if len(set(ids)) != n:
+        repeated = Counter(ids).most_common(1)[0][0]
+        raise NetworkError(f"descriptor file lists shape id {repeated!r} more than once")
     return ids, np.array(vecs)

@@ -52,7 +52,6 @@ class TrainConfig:
     decay: float = 0.995
     epochs: int = 60
     seed: int = 7
-    descriptor_readout: str = "cell"
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -67,8 +66,6 @@ class TrainConfig:
             raise ConfigError("epochs must be non-negative")
         if self.k < 1:
             raise ConfigError("k must be positive")
-        if self.descriptor_readout not in ("cell", "hidden"):
-            raise ConfigError("descriptor_readout must be 'cell' or 'hidden'")
 
 
 _CONFIG_TYPES = {f.name: f.type for f in fields(TrainConfig)}
@@ -113,8 +110,6 @@ def format_config(config: TrainConfig) -> str:
 # model assembly
 
 _MODE_IDS = {m: i for i, m in enumerate(MODES)}
-_READOUTS = ("cell", "hidden")
-_READOUT_IDS = {r: i for i, r in enumerate(_READOUTS)}
 
 
 @dataclass
@@ -125,7 +120,6 @@ class Model:
     mode: str
     n_classes: int
     k: int
-    descriptor_readout: str
     encoder: SliceEncoderParams
     lstm: object  # ConvLstmParams or None
     head: list  # list of (weight, bias) FC layers
@@ -169,7 +163,7 @@ class Model:
             )
         feats = engine.reshape(feats, (b, t, ch, fh, fw))
         if self.uses_lstm:
-            return network.run_convlstm(self.lstm, feats, readout=self.descriptor_readout)
+            return network.run_convlstm(self.lstm, feats)
         flat = engine.reshape(feats, (b, t, ch * fh * fw))
         return engine.mean_axis(flat, axis=1)
 
@@ -201,14 +195,14 @@ def _head_sizes(mode, n_classes):
     return (DESCRIPTOR_DIM, n_classes)  # cnn_rnn: single FC softmax over the descriptor
 
 
-def build_model(mode, n_classes, k=3, seed=0, descriptor_readout="cell") -> Model:
+def build_model(mode, n_classes, k=3, seed=0) -> Model:
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}")
     rng = np.random.default_rng([int(seed) & 0xFFFFFFFFFFFFFFFF, 0x3DA])
     encoder = network.init_encoder(rng)
     lstm = network.init_convlstm(rng) if mode in ("cnn_rnn", "full") else None
     head = network.init_mlp(rng, _head_sizes(mode, n_classes))
-    return Model(mode, n_classes, k, descriptor_readout, encoder, lstm, head)
+    return Model(mode, n_classes, k, encoder, lstm, head)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +213,7 @@ def prepare_inputs(shapes, k):
     """Normalized slice stacks for a list of LabeledShapes: (n, 3k, D, D)."""
     if not shapes:
         raise DatasetError("no shapes to prepare")
-    stacks = [normalize_mdr(compute_mdr(s.grid, k)).slices for s in shapes]
+    stacks = [normalize_mdr(compute_mdr(s.grid, k)) for s in shapes]
     if any(st.shape != stacks[0].shape for st in stacks):
         raise DatasetError(f"shapes of different grid sizes: {sorted({st.shape for st in stacks})}")
     labels = np.array([s.label - 1 for s in shapes], dtype=np.int64)  # 0-based
@@ -244,9 +238,7 @@ class Trainer:
 
     def __init__(self, config: TrainConfig, n_classes):
         self.config = config
-        self.model = build_model(
-            config.mode, n_classes, config.k, config.seed, config.descriptor_readout
-        )
+        self.model = build_model(config.mode, n_classes, config.k, config.seed)
         self.opt_gen = Adam(
             [t for _, t in self.model.gen_tensors()], config.lr_gen, config.decay
         )
@@ -344,13 +336,13 @@ class Trainer:
 
     # -- inference ---------------------------------------------------------
 
-    def extract(self, x, batch_size=64):
-        """Forward-only latents for (n, 3k, D, D) inputs: (n, 1024)."""
+    def extract(self, x):
+        """Forward-only latents for (n, 3k, D, D) inputs, in batches of 64: (n, 1024)."""
         self._latent = None
         outs = []
         with engine.no_grad():
-            for start in range(0, len(x), batch_size):
-                outs.append(self.model.latent(x[start : start + batch_size]).data)
+            for start in range(0, len(x), 64):
+                outs.append(self.model.latent(x[start : start + 64]).data)
         return np.concatenate(outs) if outs else np.zeros((0, DESCRIPTOR_DIM))
 
     # -- checkpointing -----------------------------------------------------
@@ -367,7 +359,7 @@ class Trainer:
             "/meta/mode_id": np.float64(_MODE_IDS[self.model.mode]),
             "/meta/n_classes": np.float64(self.model.n_classes),
             "/meta/k": np.float64(self.model.k),
-            "/meta/readout_id": np.float64(_READOUT_IDS[self.model.descriptor_readout]),
+            "/meta/readout_id": np.float64(0),  # the cell state; kept for the record layout
             "/meta/epoch": np.float64(self.epoch),
         }
         for name, t in self.model.named_tensors().items():
@@ -386,7 +378,8 @@ class Trainer:
     @classmethod
     def restore(cls, data, config: TrainConfig | None = None):
         """Rebuild a trainer from `save` bytes; a missing, misshapen or
-        out-of-range record is a NetworkError."""
+        out-of-range record, or a `config` whose mode or k differs from the
+        checkpoint's, is a NetworkError."""
         records = network.load_records(data)
 
         def record(name, shape):
@@ -405,9 +398,12 @@ class Trainer:
         mode = MODES[count("/meta/mode_id", 0, len(MODES) - 1)]
         n_classes = count("/meta/n_classes", 1)
         k = count("/meta/k", 1)
-        readout = _READOUTS[count("/meta/readout_id", 0, len(_READOUTS) - 1)]
+        count("/meta/readout_id", 0, 0)  # 1 marked a hidden-state descriptor, no longer built
         if config is None:
-            config = TrainConfig(mode=mode, k=k, descriptor_readout=readout)
+            config = TrainConfig(mode=mode, k=k)
+        for name, saved, given in (("/meta/mode_id", mode, config.mode), ("/meta/k", k, config.k)):
+            if saved != given:
+                raise NetworkError(f"checkpoint record {name} gives {saved!r} but the config has {given!r}")
         # bound n_classes by the head's last weight before the model is allocated
         sizes = _head_sizes(config.mode, n_classes)
         record(f"{_head_prefix(config.mode)}.fc{len(sizes) - 2}.w", (sizes[-1], sizes[-2]))

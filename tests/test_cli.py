@@ -250,6 +250,14 @@ class TestTrainExtractEval:
                 ])
                 assert rc == cli.EXIT_USAGE, (name, extra)
 
+    def test_eval_has_no_metric_option(self, dataset_dir, run_dir, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "eval", "--checkpoint", str(run_dir / "checkpoint.mdrnet"), "--metric", "cosine",
+                "--data", str(dataset_dir), "--out", str(tmp_path / "o"),
+            ])
+        assert exc.value.code == cli.EXIT_USAGE
+
     def test_missing_checkpoint_io_error(self, dataset_dir, tmp_path):
         rc = main([
             "extract", "--checkpoint", str(tmp_path / "nope.mdrnet"),
@@ -276,7 +284,7 @@ def _cube_dataset(root, sizes):
 @pytest.fixture(scope="module")
 def bad_inputs(dataset_dir, tmp_path_factory):
     """argv per bad input: each names a file the CLI reads and must refuse."""
-    from mdrnet import network, training
+    from mdrnet import network, training, voxel
 
     tmp = tmp_path_factory.mktemp("bad")
     good = training.Trainer(training.TrainConfig(mode="cnn_only", seed=7), 4).save()
@@ -288,7 +296,7 @@ def bad_inputs(dataset_dir, tmp_path_factory):
 
     cases = {}
     for name, value in [
-        ("/meta/mode_id", 9), ("/meta/mode_id", -1), ("/meta/readout_id", 5),
+        ("/meta/mode_id", 9), ("/meta/mode_id", -1), ("/meta/readout_id", 5), ("/meta/readout_id", 1),
         ("/meta/n_classes", 4.5), ("/meta/epoch", -3), ("/meta/k", 4), ("/opt/gen.t", None),
     ]:
         records = network.load_records(good)
@@ -320,6 +328,11 @@ def bad_inputs(dataset_dir, tmp_path_factory):
     (tmp / "nan.ddsd").write_text(f"DDSD n=3 dim={network.DESCRIPTOR_DIM}\n" + rows)
     cases["eval_nan_descriptors"] = ["eval", "--descriptors", str(tmp / "nan.ddsd"),
                                      "--data", str(singles), "--out", str(tmp / "e")]
+    test_ids = [s.shape_id for s in voxel.load_dataset(dataset_dir / "manifest.tsv").subset("test")]
+    twice = test_ids + test_ids[:1]  # every test shape, the first one on two rows
+    (tmp / "twice.ddsd").write_bytes(network.save_descriptors(twice, np.eye(len(twice), network.DESCRIPTOR_DIM)))
+    cases["eval_duplicate_id"] = ["eval", "--descriptors", str(tmp / "twice.ddsd"),
+                                  "--data", str(dataset_dir), "--out", str(tmp / "e")]
 
     # a full checkpoint in the earlier layout: one record per gate, named
     # by the stacked tensor plus the gate's letter (b_ in place of b)
@@ -351,10 +364,11 @@ def bad_inputs(dataset_dir, tmp_path_factory):
 
 BAD_INPUTS = [
     "checkpoint/meta/mode_id=9", "checkpoint/meta/mode_id=-1", "checkpoint/meta/readout_id=5",
+    "checkpoint/meta/readout_id=1",
     "checkpoint/meta/n_classes=4.5", "checkpoint/meta/epoch=-3", "checkpoint/meta/k=4",
     "checkpoint/opt/gen.t=None", "binvox_dim_0", "mdr_export_k0", "mdr_export_30x30x60", "extract_30x30x60",
     "extract_mixed", "extract_cube36", "extract_cube60", "eval_no_relevant_item",
-    "eval_nan_descriptors", "manifest_not_utf8", "extract_empty_split", "config_lr_nan",
+    "eval_nan_descriptors", "eval_duplicate_id", "manifest_not_utf8", "extract_empty_split", "config_lr_nan",
     "config_not_utf8", "checkpoint_per_gate_lstm", "manifest_nul_path",
 ]
 

@@ -193,27 +193,22 @@ class TestLeaveOneOut:
         labels = list(rng.integers(1, 5, size=n))
         vecs = np.round(rng.normal(size=(n, 6)) * 0.7)
         vecs[:10] = vecs[0]
-        for metric in ("euclidean", "cosine"):
-            for q, r in enumerate(leave_one_out_retrieval(ids, vecs, labels, metric=metric)):
-                if metric == "euclidean":
-                    dists = [float(np.linalg.norm(vecs[i] - vecs[q])) for i in range(n)]
-                else:
-                    unit = vecs / np.maximum(np.linalg.norm(vecs, axis=1, keepdims=True), 1e-300)
-                    dists = list(1.0 - unit @ unit[q])
-                order = sorted((i for i in range(n) if i != q), key=lambda i: (dists[i], ids[i]))
-                assert r.ranked_ids == [ids[i] for i in order]
-                assert r.relevant == [labels[i] == labels[q] for i in order]
-                hits, precisions = 0, []
-                for rank, rel in enumerate(r.relevant, start=1):
-                    hits += rel
-                    if rel:
-                        precisions.append(hits / rank)
-                assert average_precision(r) == (float(np.mean(precisions)) if precisions else None)
-                if precisions:
-                    curve = pr_curve(r)
-                    expected = [
-                        max((p for p, rc in zip(curve.precision, curve.recall) if rc >= level - 1e-12),
-                            default=0.0)
-                        for level in np.linspace(0.0, 1.0, 11)
-                    ]
-                    assert interpolated_precision(curve).tolist() == expected
+        for q, r in enumerate(leave_one_out_retrieval(ids, vecs, labels)):
+            dists = [float(np.linalg.norm(vecs[i] - vecs[q])) for i in range(n)]
+            order = sorted((i for i in range(n) if i != q), key=lambda i: (dists[i], ids[i]))
+            assert r.ranked_ids == [ids[i] for i in order]
+            assert r.relevant == [labels[i] == labels[q] for i in order]
+            hits, precisions = 0, []
+            for rank, rel in enumerate(r.relevant, start=1):
+                hits += rel
+                if rel:
+                    precisions.append(hits / rank)
+            assert average_precision(r) == (float(np.mean(precisions)) if precisions else None)
+            if precisions:
+                curve = pr_curve(r)
+                expected = [
+                    max((p for p, rc in zip(curve.precision, curve.recall) if rc >= level - 1e-12),
+                        default=0.0)
+                    for level in np.linspace(0.0, 1.0, 11)
+                ]
+                assert interpolated_precision(curve).tolist() == expected

@@ -109,18 +109,18 @@ class TestComputeMdr:
 class TestNormalize:
     def test_zero_sequence(self):
         g = VoxelGrid((30, 30, 30), np.zeros(27000, dtype=np.uint8))
-        assert not normalize_mdr(compute_mdr(g, 3)).slices.any()
+        assert not normalize_mdr(compute_mdr(g, 3)).any()
 
     def test_full_grid_all_ones(self):
         g = VoxelGrid((30, 30, 30), np.ones(27000, dtype=np.uint8))
-        assert (normalize_mdr(compute_mdr(g, 3)).slices == 1.0).all()
+        assert (normalize_mdr(compute_mdr(g, 3)) == 1.0).all()
 
     def test_single_voxel_becomes_tenth(self):
         arr = np.zeros((30, 30, 30), dtype=np.uint8)
         arr[5, 12, 20] = 1
         norm = normalize_mdr(compute_mdr(VoxelGrid.from_array(arr), 3))
-        assert norm.slices[2, 5, 12] == pytest.approx(0.1)
-        assert np.isclose(10 * norm.slices, np.rint(10 * norm.slices), atol=1e-12).all()
+        assert norm[2, 5, 12] == pytest.approx(0.1)
+        assert np.isclose(10 * norm, np.rint(10 * norm), atol=1e-12).all()
 
 
 class TestPgmExport:

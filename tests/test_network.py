@@ -114,16 +114,15 @@ class TestRunConvLstm:
         for spatial in (2, 3):
             p = make_tiny_lstm(rng, spatial=spatial)
             feats = rng.normal(size=(2, 4, 4, spatial, spatial))
-            for readout in ("cell", "hidden"):
-                with engine.no_grad():
-                    got = network.run_convlstm(p, Tensor(feats), readout=readout).data
-                for b in range(2):
-                    h = c = np.zeros((4, spatial, spatial))
-                    for t in range(4):
-                        h, c = scalar_convlstm_step(p, feats[b, t], h, c)
-                    ref = (c if readout == "cell" else h).reshape(-1)
-                    denom = max(np.abs(ref).max(), 1.0)
-                    assert np.abs(got[b] - ref).max() / denom < 1e-10, (spatial, readout)
+            with engine.no_grad():
+                got = network.run_convlstm(p, Tensor(feats)).data
+            for b in range(2):
+                h = c = np.zeros((4, spatial, spatial))
+                for t in range(4):
+                    h, c = scalar_convlstm_step(p, feats[b, t], h, c)
+                ref = c.reshape(-1)
+                denom = max(np.abs(ref).max(), 1.0)
+                assert np.abs(got[b] - ref).max() / denom < 1e-10, spatial
 
 
 def _lstm_loss(rng, width):
@@ -144,7 +143,7 @@ class TestConvLstmGradients:
     """Finite-difference checks of the recurrence, at the suite's 1e-4."""
 
     @staticmethod
-    def _check(rng, spatial, readout):
+    def _check(rng, spatial):
         lstm = make_tiny_lstm(rng, spatial=spatial, scale=0.4)
         names = [n.split(".")[-1] for n, _ in lstm.tensors()]
         arrays = [t.data for _, t in lstm.tensors()]
@@ -152,17 +151,14 @@ class TestConvLstmGradients:
 
         def f(ts):
             lp = network.ConvLstmParams(**dict(zip(names, ts[:-1])))
-            return loss(network.run_convlstm(lp, ts[-1], readout=readout))
+            return loss(network.run_convlstm(lp, ts[-1]))
 
         feats = rng.normal(size=(2, 3, 4, spatial, spatial))
         report = grad_check(f, arrays + [feats], tolerance=1e-4)
         assert report.passed, report
 
-    def test_hidden_readout(self, rng):
-        self._check(rng, spatial=2, readout="hidden")
-
     def test_three_by_three_state_map(self, rng):
-        self._check(rng, spatial=3, readout="cell")
+        self._check(rng, spatial=3)
 
     def test_step_from_nonzero_states(self, rng):
         lstm = make_tiny_lstm(rng, scale=0.4)
@@ -208,13 +204,6 @@ class TestGenerateDescriptor:
         model = build_model("full", 4, seed=0)
         with pytest.raises(NetworkError):
             descriptor(model, np.zeros((9, 30)))
-
-    def test_hidden_readout_differs(self, rng):
-        mdr = rng.uniform(0, 1, (9, 30, 30))
-        assert not np.array_equal(
-            descriptor(build_model("full", 4, seed=7, descriptor_readout="cell"), mdr),
-            descriptor(build_model("full", 4, seed=7, descriptor_readout="hidden"), mdr),
-        )
 
 
 class TestDiscriminate:
@@ -435,6 +424,7 @@ class TestDescriptorFiles:
             f"DDSD n=1 dim={DESCRIPTOR_DIM}\nx",
             f"DDSD n=1 dim={DESCRIPTOR_DIM}\n{row[:-1]}y",
             f"DDSD n=2 dim={DESCRIPTOR_DIM}\n{row}",
+            f"DDSD n=2 dim={DESCRIPTOR_DIM}\n{row}\n{row}",  # one shape id twice
         ):
             with pytest.raises(NetworkError):
                 load_descriptors(text.encode())

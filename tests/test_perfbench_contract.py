@@ -3,12 +3,14 @@
 The harness patches mdrnet from outside, by attribute and parameter name,
 so a rename in mdrnet breaks it without an import error. These tests only
 read `perfbench/`; they pin the names it patches, the parameter names it
-groups layers by, and the d+g step clock that gives `op_p50_s`.
+groups layers by, and the d+g step clock that gives `op_p50_s`, and they run
+every workload at its tiny size.
 """
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from mdrnet import engine, training, voxel
 
@@ -49,3 +51,24 @@ def test_train_clock_times_every_batch():
     assert [n for n, _ in steps] == [3, 3, 2]
     assert all(np.isfinite(s) and s > 0 for _, s in steps)
     assert (training.Trainer.d_step, training.Trainer.g_step) == (d_step, g_step)
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_workload_runs_at_tiny_size(name, tmp_path):
+    """Set-up, an untraced and a traced operation with their checks, and the
+    final check, in-process, as `perfbench/run.py --trace 1` runs them."""
+    wl = workloads.WORKLOADS[name]
+    recorder = spans.Recorder()
+    steps = []
+    with recorder.instrument(), wl.clock(steps):
+        state = wl.setup(1, tmp_path / "work", workloads.SIZES["tiny"], workloads.SetupClock())
+        for traced in (False, True):
+            recorder.enabled = traced
+            try:
+                out = wl.op(state)
+            finally:
+                recorder.enabled = False
+            assert wl.items(state, out) > 0
+            assert wl.check(state, out) == [], traced
+        assert wl.final_check(state) == {}
+    assert recorder.spans

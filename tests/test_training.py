@@ -46,14 +46,15 @@ class TestConfig:
         assert cfg.decay == 0.995 and cfg.k == 3
 
     def test_parse_round_trip(self):
-        cfg = TrainConfig(mode="cnn_adv", epochs=5, seed=11, descriptor_readout="hidden")
+        cfg = TrainConfig(mode="cnn_adv", epochs=5, seed=11, decay=0.9)
         assert parse_config(format_config(cfg)) == cfg
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("mode = full\nmomentum = 0.9\n")
-        with pytest.raises(ConfigError, match="unknown key"):  # a removed option
-            parse_config("g_updates_dis = true\n")
+        for removed in ("g_updates_dis = true", "descriptor_readout = cell"):
+            with pytest.raises(ConfigError, match="unknown key"):
+                parse_config(removed + "\n")
 
     def test_bad_values_rejected(self):
         for text in (
@@ -63,7 +64,6 @@ class TestConfig:
             "batch_size = 0",
             "epochs = nope",
             "decay = 1.5",
-            "descriptor_readout = mean",
             "lr_gen = nan",
             "lr_dis = inf",
         ):
@@ -291,6 +291,13 @@ class TestCheckpoint:
         resumed.train_epoch(x, y)
         assert resumed.save() == tr.save()
 
+    def test_config_must_match_checkpoint(self):
+        data = Trainer(TrainConfig(mode="full", k=3, seed=7), N_CLASSES).save()
+        for config, record in ((TrainConfig(mode="cnn_adv"), "/meta/mode_id"),
+                               (TrainConfig(mode="full", k=5), "/meta/k")):
+            with pytest.raises(NetworkError, match=record):
+                Trainer.restore(data, config)
+
     def test_extract_reproducible(self):
         x, y, _ = small_batch(4)
         tr = Trainer(TrainConfig(mode="full", seed=2), N_CLASSES)
@@ -328,6 +335,7 @@ class TestCheckpoint:
         ("/opt/gen.enc0.w.m", None),
         ("/opt/head.fc0.b.v", np.zeros(3)),
         ("gen.enc0.b", np.zeros(3)),
+        ("/meta/readout_id", 1),
     ])
     def test_bad_record_rejected(self, name, value):
         records = network.load_records(Trainer(TrainConfig(mode="cnn_only", seed=7), N_CLASSES).save())
