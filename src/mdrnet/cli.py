@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -43,6 +44,23 @@ def _write_atomic(path: Path, data):
     else:
         tmp.write_text(data, encoding="utf-8")
     tmp.rename(path)
+
+
+def _check_curve_ids(ids):
+    """Refuse shape ids whose `pr/<id>.csv` files would land outside `pr/` or collide.
+
+    Ids keep the subdirectories of their binvox paths, so `pr/` mirrors them.
+    An absolute id, one whose `..` segments climb out, or two spellings of one
+    path (`a/b` and `./a/b`) is a usage error, raised before eval writes anything.
+    """
+    seen = set()
+    for shape_id in ids:
+        rel = os.path.normpath(f"{shape_id}.csv")
+        if os.path.isabs(rel) or rel.split(os.sep)[0] == os.pardir:
+            raise CliError(f"shape id {shape_id!r} would write outside pr/", EXIT_USAGE)
+        if rel in seen:
+            raise CliError(f"shape id {shape_id!r} names the same pr/ file as another id", EXIT_USAGE)
+        seen.add(rel)
 
 
 def cmd_dataset_synth(args):
@@ -134,8 +152,6 @@ def cmd_eval(args):
     dataset = _load_dataset(args.data)
     test_shapes = dataset.subset("test")
     labels = {s.shape_id: s.label for s in dataset.shapes}
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     summary = {}
 
     trainer = _restore_trainer(args.checkpoint) if args.checkpoint else None
@@ -154,6 +170,7 @@ def cmd_eval(args):
     else:
         x, _, ids = training.prepare_inputs(test_shapes, trainer.model.k)
         vecs = trainer.extract(x)
+    _check_curve_ids(ids)
 
     id_labels = np.array([labels[i] for i in ids])
     if trainer is not None:
@@ -170,12 +187,15 @@ def cmd_eval(args):
     if excluded:
         print(f"warning: {excluded} queries had no relevant gallery item")
 
-    _write_atomic(out_dir / "macro_pr.csv", evaluation.macro_pr_csv(results))
+    out_dir = Path(args.out)
     ranks_dir = out_dir / "pr"
-    ranks_dir.mkdir(exist_ok=True)
+    ranks_dir.mkdir(parents=True, exist_ok=True)
+    _write_atomic(out_dir / "macro_pr.csv", evaluation.macro_pr_csv(results))
     for r in results:
         if any(r.relevant):
-            _write_atomic(ranks_dir / f"{r.query_id}.csv", evaluation.pr_csv(r))
+            path = ranks_dir / f"{r.query_id}.csv"
+            path.parent.mkdir(parents=True, exist_ok=True)
+            _write_atomic(path, evaluation.pr_csv(r))
     _write_atomic(out_dir / "summary.txt", evaluation.summary_text(summary))
     for k, v in summary.items():
         print(f"{k} = {v}")

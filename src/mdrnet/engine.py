@@ -192,7 +192,9 @@ def conv2d(x, kernels, bias=None, stride=2):
     """Batched 2D cross-correlation with ceil-mode "same" padding.
 
     x: (B, C_in, H, W) or (C_in, H, W); kernels: (C_out, C_in, kh, kw);
-    bias: (C_out,) or None. Output spatial size is ceil(H/stride).
+    bias: (C_out,) or None. Output spatial size is ceil(H/stride). The
+    backward scatters the input gradient into a channels-last buffer and
+    hands it back as a (B, C_in, H, W) view.
     """
     x = _as_tensor(x)
     kernels = _as_tensor(kernels)
@@ -233,14 +235,17 @@ def conv2d(x, kernels, bias=None, stride=2):
         if bias is not None and _needs_grad(bias):
             bias.accumulate(gf.sum(axis=1))
         if _needs_grad(x):
-            dcols = (wf.T @ gf).reshape(ci, kh, kw, B, ho, wo).transpose(3, 0, 1, 2, 4, 5)
-            dxp = np.zeros((B, ci, Hp, Wp))
+            # col2im channels-last: each tap slab is a run of whole channel rows
+            wr = kernels.data.transpose(0, 2, 3, 1).reshape(co, K)
+            dcols = (gf.T @ wr).reshape(B, ho, wo, kh, kw, ci)
+            dxp = np.zeros((B, Hp, Wp, ci))
             for i in range(kh):
                 for j in range(kw):
-                    dxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += (
-                        dcols[:, :, i, j]
+                    dxp[:, i : i + stride * ho : stride, j : j + stride * wo : stride] += (
+                        dcols[:, :, :, i, j]
                     )
-            dx = dxp[:, :, pl_h : Hp - ph_h or None, pl_w : Wp - ph_w or None]
+            del gf, dcols
+            dx = dxp[:, pl_h : Hp - ph_h or None, pl_w : Wp - ph_w or None].transpose(0, 3, 1, 2)
             x.accumulate(dx[0] if squeeze else dx)
 
     return _make(out[0] if squeeze else out, parents, backward)

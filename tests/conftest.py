@@ -29,6 +29,30 @@ def naive_conv2d(x, w, b, stride):
     return out
 
 
+def naive_conv2d_backward(x, w, g, stride):
+    """Loop adjoint of `naive_conv2d`: (dx, dw, db) for the output gradient `g`."""
+    B, ci, H, W = x.shape
+    co, _, kh, kw = w.shape
+    pl_h, ph_h = engine.same_ceil_padding(H, kh, stride)
+    pl_w, ph_w = engine.same_ceil_padding(W, kw, stride)
+    xp = np.pad(x, ((0, 0), (0, 0), (pl_h, ph_h), (pl_w, ph_w)))
+    dxp = np.zeros_like(xp)
+    dw = np.zeros_like(w)
+    _, _, ho, wo = g.shape
+    for bi in range(B):
+        for c in range(co):
+            for i in range(ho):
+                for j in range(wo):
+                    for ic in range(ci):
+                        for u in range(kh):
+                            for v in range(kw):
+                                r, s = i * stride + u, j * stride + v
+                                dxp[bi, ic, r, s] += g[bi, c, i, j] * w[c, ic, u, v]
+                                dw[c, ic, u, v] += g[bi, c, i, j] * xp[bi, ic, r, s]
+    dx = dxp[:, :, pl_h : pl_h + H, pl_w : pl_w + W]
+    return dx, dw, g.sum(axis=(0, 2, 3))
+
+
 def linear_readout(out, weight):
     """Fixed linear scalar readout of `out`: a (1, out.size) weight, zero bias."""
     return engine.fully_connected(engine.reshape(out, (1, -1)), weight, Tensor(np.zeros(1)))

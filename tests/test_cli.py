@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mdrnet import cli
+from mdrnet import cli, voxel
 from mdrnet.cli import main
 
 
@@ -264,6 +264,57 @@ class TestTrainExtractEval:
             "--data", str(dataset_dir), "--out", str(tmp_path / "d"),
         ])
         assert rc == cli.EXIT_IO
+
+    def test_eval_subdirectory_ids(self, dataset_dir, run_dir, tmp_path):
+        # ModelNet layout: <class>/<name>.binvox, so each shape id keeps its class directory
+        data = _relocated_dataset(dataset_dir, tmp_path / "nested", lambda rel, cname: f"{cname}/{rel}")
+        desc = tmp_path / "nested.ddsd"
+        assert main([
+            "extract", "--checkpoint", str(run_dir / "checkpoint.mdrnet"),
+            "--data", str(data), "--out", str(desc),
+        ]) == 0
+        out = tmp_path / "eval"
+        assert main(["eval", "--descriptors", str(desc), "--data", str(data), "--out", str(out)]) == 0
+        curves = sorted(p.relative_to(out / "pr").as_posix() for p in (out / "pr").rglob("*.csv"))
+        assert curves == sorted(f"{c}/{c}_{i:04d}.csv" for c in voxel.SYNTHETIC_CLASSES for i in (6, 7))
+        assert (out / "summary.txt").exists()
+        assert not list(out.rglob("*.tmp"))
+
+    @pytest.mark.parametrize("where", ["parent", "absolute", "alias"])
+    def test_eval_bad_curve_id_rejected(self, dataset_dir, run_dir, tmp_path, where):
+        outside = tmp_path / "outside"
+        outside.mkdir()
+
+        def relocate(rel, cname):
+            if rel != "pyramid_0007.binvox":
+                return rel
+            return {"parent": "../outside/" + rel, "absolute": str(outside / rel),
+                    "alias": "./pyramid_0006.binvox"}[where]
+
+        data = _relocated_dataset(dataset_dir, tmp_path / "data", relocate)
+        out = tmp_path / "eval"
+        rc = main([
+            "eval", "--checkpoint", str(run_dir / "checkpoint.mdrnet"),
+            "--data", str(data), "--out", str(out),
+        ])
+        assert rc == cli.EXIT_USAGE
+        assert not out.exists()
+        assert [p.name for p in tmp_path.rglob("*.csv")] == []
+
+
+def _relocated_dataset(src, dst, relocate):
+    """Copy of the dataset at `src` with each binvox moved to `relocate(rel, class)`
+    (relative to `dst`, or absolute) and the manifest updated to match."""
+    lines = []
+    for line in (src / "manifest.tsv").read_text().splitlines():
+        rel, cname, part = line.split("\t")
+        new = relocate(rel, cname)
+        path = dst / new
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes((src / rel).read_bytes())
+        lines.append(f"{new}\t{cname}\t{part}")
+    (dst / "manifest.tsv").write_text("\n".join(lines) + "\n")
+    return dst
 
 
 def _cube_dataset(root, sizes):

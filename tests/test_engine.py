@@ -12,7 +12,7 @@ from mdrnet.engine import (
     grad_check,
 )
 
-from conftest import linear_readout, naive_conv2d
+from conftest import linear_readout, naive_conv2d, naive_conv2d_backward
 
 
 class TestPointwise:
@@ -95,6 +95,22 @@ class TestConv2d:
             return engine.softmax_cross_entropy(engine.reshape(out, (-1,)), 5)
 
         assert grad_check(f, [x, w, b], tolerance=1e-4).passed
+
+    @pytest.mark.parametrize("x_shape, w_shape, stride", [
+        ((2, 3, 9, 7), (5, 3, 4, 4), 2),  # asymmetric ceil padding on both axes
+        ((2, 3, 5, 6), (4, 3, 3, 3), 1),
+    ])
+    def test_gradients_match_loop_adjoint(self, rng, x_shape, w_shape, stride):
+        x, w, b = (Tensor(rng.normal(size=s), requires_grad=True)
+                   for s in (x_shape, w_shape, w_shape[:1]))
+        out = engine.conv2d(x, w, b, stride=stride)
+        g = rng.normal(size=out.shape)
+        linear_readout(out, Tensor(g.reshape(1, -1))).backward()
+        dx, dw, db = naive_conv2d_backward(x.data, w.data, g, stride)
+        assert x.grad.shape == x_shape
+        assert np.allclose(x.grad, dx, rtol=0, atol=1e-12)
+        assert np.allclose(w.grad, dw, rtol=0, atol=1e-12)
+        assert np.allclose(b.grad, db, rtol=0, atol=1e-12)
 
     def test_input_without_gradient_gets_none(self, rng):
         x = Tensor(rng.uniform(-1, 1, size=(2, 1, 6, 6)))

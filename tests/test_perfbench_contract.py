@@ -72,3 +72,24 @@ def test_workload_runs_at_tiny_size(name, tmp_path):
             assert wl.check(state, out) == [], traced
         assert wl.final_check(state) == {}
     assert recorder.spans
+
+
+def test_encoder_convs_attributed_per_layer(tmp_path):
+    """Each encoder conv's forward and its backward closure land in that
+    layer's group: one call per batch and a backward time above zero."""
+    wl = workloads.WORKLOADS["train-cnn_adv"]
+    recorder = spans.Recorder()
+    with recorder.instrument():
+        state = wl.setup(1, tmp_path / "work", workloads.SIZES["tiny"], workloads.SetupClock())
+        recorder.enabled = True
+        try:
+            with recorder.span("bench.op"):
+                wl.op(state)
+        finally:
+            recorder.enabled = False
+    batches = spans.by_name(recorder.spans)["training.g_step"]["calls"]
+    assert batches == -(-len(state.x) // workloads.SIZES["tiny"].batch_size)
+    metrics = spans.layer_metrics(recorder.spans, 1)
+    for layer in ("enc0", "enc1", "enc2", "enc3"):
+        assert metrics[f"engine.conv2d.{layer}.calls"][0] == batches, layer
+        assert metrics[f"engine.conv2d.{layer}.bwd_s"][0] > 0, layer
