@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -16,10 +15,10 @@ import numpy as np
 
 from . import __version__, evaluation, network, training, voxel
 from .evaluation import EvaluationError
-from .mdr import MdrError, compute_mdr, export_mdr_text, export_slice_pgm, slice_name, valid_slice_counts
+from .mdr import MdrError, compute_mdr, export_mdr_text, export_slice_pgm, slice_name
 from .network import NetworkError
 from .training import ConfigError, TrainingError
-from .voxel import BinvoxError, DatasetError
+from .voxel import BinvoxError, DatasetError, write_atomic
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -37,32 +36,6 @@ class CliError(Exception):
         self.code = code
 
 
-def _write_atomic(path: Path, data):
-    tmp = path.with_name(path.name + ".tmp")
-    if isinstance(data, bytes):
-        tmp.write_bytes(data)
-    else:
-        tmp.write_text(data, encoding="utf-8")
-    tmp.rename(path)
-
-
-def _check_curve_ids(ids):
-    """Refuse shape ids whose `pr/<id>.csv` files would land outside `pr/` or collide.
-
-    Ids keep the subdirectories of their binvox paths, so `pr/` mirrors them.
-    An absolute id, one whose `..` segments climb out, or two spellings of one
-    path (`a/b` and `./a/b`) is a usage error, raised before eval writes anything.
-    """
-    seen = set()
-    for shape_id in ids:
-        rel = os.path.normpath(f"{shape_id}.csv")
-        if os.path.isabs(rel) or rel.split(os.sep)[0] == os.pardir:
-            raise CliError(f"shape id {shape_id!r} would write outside pr/", EXIT_USAGE)
-        if rel in seen:
-            raise CliError(f"shape id {shape_id!r} names the same pr/ file as another id", EXIT_USAGE)
-        seen.add(rel)
-
-
 def cmd_dataset_synth(args):
     classes = [c.strip() for c in args.classes.split(",") if c.strip()]
     dataset = voxel.build_synthetic_dataset(classes, args.per_class, args.seed)
@@ -74,21 +47,15 @@ def cmd_dataset_synth(args):
 
 def cmd_mdr_export(args):
     grid = voxel.load_binvox(Path(args.infile).read_bytes())
-    if args.k < 1 or any(d % args.k for d in grid.dims):
-        raise CliError(
-            f"k={args.k} does not divide the grid; valid divisors: "
-            f"{valid_slice_counts(grid.dims[0])}",
-            EXIT_USAGE,
-        )
     seq = compute_mdr(grid, args.k)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = Path(args.infile).stem
-    _write_atomic(out_dir / f"{stem}.mdr", export_mdr_text(seq))
+    write_atomic(out_dir / f"{stem}.mdr", export_mdr_text(seq))
     if args.images:
         for i in range(3 * seq.k):
             name = f"{stem}_{slice_name(seq, i)}.pgm"
-            _write_atomic(out_dir / name, export_slice_pgm(seq, i))
+            write_atomic(out_dir / name, export_slice_pgm(seq, i))
     print(f"wrote MDR (k={seq.k}) for {stem} to {out_dir}")
 
 
@@ -101,6 +68,8 @@ def _load_dataset(path):
 def cmd_train(args):
     config = training.parse_config(Path(args.config).read_bytes())
     dataset = _load_dataset(args.data)
+    trainer = training.Trainer(config, len(dataset.classes))
+    train_x, train_y, _ = training.prepare_inputs(dataset.subset("train"), config.k)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     checkpoint_path = out_dir / "checkpoint.mdrnet"
@@ -113,21 +82,19 @@ def cmd_train(args):
         "metrics": str(metrics_path),
         "tool_version": __version__,
     }
-    _write_atomic(out_dir / "run_manifest.json", json.dumps(manifest, indent=2) + "\n")
+    write_atomic(out_dir / "run_manifest.json", json.dumps(manifest, indent=2) + "\n")
 
-    trainer = training.Trainer(config, len(dataset.classes))
-    train_x, train_y, _ = training.prepare_inputs(dataset.subset("train"), config.k)
     for _ in range(config.epochs):
         m = trainer.train_epoch(train_x, train_y)
-        _write_atomic(checkpoint_path, trainer.save())
-        _write_atomic(metrics_path, training.metrics_csv(trainer.metrics))
+        write_atomic(checkpoint_path, trainer.save())
+        write_atomic(metrics_path, training.metrics_csv(trainer.metrics))
         print(
             f"epoch {m.epoch}: g_loss={m.g_loss:.4f} d_loss={m.d_loss:.4f} "
             f"train_acc={m.train_acc:.4f}"
         )
     if config.epochs == 0:
-        _write_atomic(checkpoint_path, trainer.save())
-        _write_atomic(metrics_path, training.metrics_csv(trainer.metrics))
+        write_atomic(checkpoint_path, trainer.save())
+        write_atomic(metrics_path, training.metrics_csv(trainer.metrics))
     final_acc = trainer.metrics[-1].train_acc if trainer.metrics else float("nan")
     print(f"final train accuracy: {final_acc:.4f}")
 
@@ -142,7 +109,7 @@ def cmd_extract(args):
     shapes = dataset.subset(args.split) if args.split != "all" else dataset.shapes
     x, _, ids = training.prepare_inputs(shapes, trainer.model.k)
     vecs = trainer.extract(x)
-    _write_atomic(Path(args.out), network.save_descriptors(ids, vecs))
+    write_atomic(Path(args.out), network.save_descriptors(ids, vecs))
     print(f"wrote {len(ids)} descriptors to {args.out}")
 
 
@@ -170,7 +137,6 @@ def cmd_eval(args):
     else:
         x, _, ids = training.prepare_inputs(test_shapes, trainer.model.k)
         vecs = trainer.extract(x)
-    _check_curve_ids(ids)
 
     id_labels = np.array([labels[i] for i in ids])
     if trainer is not None:
@@ -190,13 +156,13 @@ def cmd_eval(args):
     out_dir = Path(args.out)
     ranks_dir = out_dir / "pr"
     ranks_dir.mkdir(parents=True, exist_ok=True)
-    _write_atomic(out_dir / "macro_pr.csv", evaluation.macro_pr_csv(results))
+    write_atomic(out_dir / "macro_pr.csv", evaluation.macro_pr_csv(results))
     for r in results:
         if any(r.relevant):
             path = ranks_dir / f"{r.query_id}.csv"
             path.parent.mkdir(parents=True, exist_ok=True)
-            _write_atomic(path, evaluation.pr_csv(r))
-    _write_atomic(out_dir / "summary.txt", evaluation.summary_text(summary))
+            write_atomic(path, evaluation.pr_csv(r))
+    write_atomic(out_dir / "summary.txt", evaluation.summary_text(summary))
     for k, v in summary.items():
         print(f"{k} = {v}")
 

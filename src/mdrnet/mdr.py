@@ -17,7 +17,7 @@ AXIS_ORDER = ("z", "x", "y")
 
 
 class MdrError(ValueError):
-    """Invalid slicing parameter or malformed sequence."""
+    """Invalid slicing parameter or slice index."""
 
 
 @dataclass(frozen=True)
@@ -26,16 +26,7 @@ class MdrSequence:
 
     k: int
     n: int  # segment thickness along the sliced axis
-    slices: np.ndarray  # (3k, H, W) int64
-
-    def __post_init__(self):
-        sl = np.asarray(self.slices, dtype=np.int64)
-        if sl.ndim != 3 or sl.shape[0] != 3 * self.k:
-            raise MdrError(f"expected {3 * self.k} slices, got shape {sl.shape}")
-        if sl.min(initial=0) < 0 or sl.max(initial=0) > self.n:
-            raise MdrError(f"slice values must lie in [0, {self.n}]")
-        object.__setattr__(self, "slices", sl)
-        sl.setflags(write=False)
+    slices: np.ndarray  # (3k, H, W) int64, values in [0, n], read-only
 
 
 def valid_slice_counts(dim):
@@ -50,7 +41,7 @@ def compute_mdr(grid: VoxelGrid, k: int) -> MdrSequence:
     if not dx == dy == dz:
         raise MdrError(f"grid {dx}x{dy}x{dz} is not a cube")
     if dx % k != 0:
-        raise MdrError(f"k={k} does not divide dimension {dx}; valid: {valid_slice_counts(dx)}")
+        raise MdrError(f"k={k} does not divide dimension {dx}; valid divisors: {valid_slice_counts(dx)}")
     arr = grid.to_array().astype(np.int64)  # [x, y, z]
     n = dx // k
     slices = []
@@ -60,7 +51,9 @@ def compute_mdr(grid: VoxelGrid, k: int) -> MdrSequence:
         slices.append(arr[i * n : (i + 1) * n].sum(axis=0))
     for i in range(k):  # y segments -> rows x, cols z
         slices.append(arr[:, i * n : (i + 1) * n, :].sum(axis=1))
-    return MdrSequence(k=k, n=n, slices=np.stack(slices))
+    slices = np.stack(slices)
+    slices.setflags(write=False)
+    return MdrSequence(k=k, n=n, slices=slices)
 
 
 def normalize_mdr(seq: MdrSequence) -> np.ndarray:

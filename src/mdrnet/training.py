@@ -198,6 +198,8 @@ def _head_sizes(mode, n_classes):
 def build_model(mode, n_classes, k=3, seed=0) -> Model:
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}")
+    if n_classes < 2:
+        raise ConfigError(f"classification and retrieval need at least 2 classes, got {n_classes}")
     rng = np.random.default_rng([int(seed) & 0xFFFFFFFFFFFFFFFF, 0x3DA])
     encoder = network.init_encoder(rng)
     lstm = network.init_convlstm(rng) if mode in ("cnn_rnn", "full") else None

@@ -6,7 +6,8 @@ flat index = x*dy*dz + z*dy + y. Other modules address cells as
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import posixpath
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -85,16 +86,6 @@ class ShapeDataset:
     classes: list
     shapes: list
     split: dict  # shape_id -> "train" | "test"
-
-    def __post_init__(self):
-        n = len(self.classes)
-        for s in self.shapes:
-            if not 1 <= s.label <= n:
-                raise DatasetError(f"label {s.label} outside [1, {n}]")
-            if s.shape_id not in self.split:
-                raise DatasetError(f"shape {s.shape_id} missing from split")
-        if len(self.split) != len(self.shapes):
-            raise DatasetError("split does not cover shapes exactly")
 
     def subset(self, part):
         return [s for s in self.shapes if self.split[s.shape_id] == part]
@@ -261,6 +252,8 @@ def build_synthetic_dataset(classes, per_class, seed):
     for c in classes:
         if c not in SYNTHETIC_CLASSES:
             raise DatasetError(f"unknown synthetic class {c!r}")
+    if len(set(classes)) != len(classes):
+        raise DatasetError(f"a synthetic class is named twice: {list(classes)}")
     n_train, _ = train_test_counts(per_class)
     shapes = []
     split = {}
@@ -273,6 +266,16 @@ def build_synthetic_dataset(classes, per_class, seed):
     return ShapeDataset(list(classes), shapes, split)
 
 
+def write_atomic(path: Path, data):
+    """Write bytes, or text as UTF-8, to a temp file beside `path`, then rename it into place."""
+    tmp = path.with_name(path.name + ".tmp")
+    if isinstance(data, bytes):
+        tmp.write_bytes(data)
+    else:
+        tmp.write_text(data, encoding="utf-8")
+    tmp.rename(path)
+
+
 def write_dataset(dataset, out_dir):
     """Write binvox files plus a manifest; returns the manifest path."""
     out_dir = Path(out_dir)
@@ -280,17 +283,19 @@ def write_dataset(dataset, out_dir):
     lines = []
     for shape in dataset.shapes:
         rel = f"{shape.shape_id}.binvox"
-        (out_dir / rel).write_bytes(save_binvox(shape.grid))
+        write_atomic(out_dir / rel, save_binvox(shape.grid))
         lines.append(f"{rel}\t{shape.class_name}\t{dataset.split[shape.shape_id]}")
     manifest = out_dir / "manifest.tsv"
-    tmp = manifest.with_suffix(".tsv.tmp")
-    tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    tmp.rename(manifest)
+    write_atomic(manifest, "\n".join(lines) + "\n")
     return manifest
 
 
 def load_dataset(manifest_path):
-    """Load a dataset from a manifest of `path<TAB>class<TAB>train|test` lines."""
+    """Load a dataset from a manifest of `path<TAB>class<TAB>train|test` lines.
+
+    Each path is normalised lexically, and its shape id is that path
+    without `.binvox`. A path that is absolute or leaves the manifest's
+    directory, or that gives an earlier line's id again, is a DatasetError."""
     manifest_path = Path(manifest_path)
     base = manifest_path.parent
     classes = []
@@ -308,11 +313,16 @@ def load_dataset(manifest_path):
         # a NUL byte cannot be in a file name; open() would raise a bare ValueError
         if len(parts) != 3 or parts[2] not in ("train", "test") or "\0" in parts[0]:
             raise DatasetError(f"bad manifest line {raw!r}")
-        rel, cname, part = parts
+        path, cname, part = parts
+        rel = posixpath.normpath(path)
+        if posixpath.isabs(rel) or rel.split("/")[0] == "..":
+            raise DatasetError(f"manifest path {path!r} is outside the dataset directory")
+        sid = rel.removesuffix(".binvox")
+        if sid in split:
+            raise DatasetError(f"manifest path {path!r} gives shape id {sid!r} a second time")
         if cname not in classes:
             classes.append(cname)
         grid = load_binvox((base / rel).read_bytes())
-        sid = rel[:-len(".binvox")] if rel.endswith(".binvox") else rel
         shapes.append(LabeledShape(grid, classes.index(cname) + 1, cname, sid))
         split[sid] = part
     if not shapes:

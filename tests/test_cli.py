@@ -1,3 +1,5 @@
+import shutil
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,11 @@ class TestDatasetSynth:
     def test_per_class_one_rejected(self, tmp_path):
         rc = main(["dataset-synth", "--per-class", "1", "--seed", "0", "--out", str(tmp_path / "x")])
         assert rc == cli.EXIT_USAGE
+
+    def test_no_temp_files_left(self, tmp_path):
+        out = tmp_path / "ds"
+        assert main(["dataset-synth", "--per-class", "2", "--seed", "1", "--out", str(out)]) == 0
+        assert len(list(out.iterdir())) == 9 and not list(out.glob("*.tmp"))
 
     def test_unknown_class_rejected(self, tmp_path):
         rc = main([
@@ -332,8 +339,56 @@ def _cube_dataset(root, sizes):
     return root
 
 
+BAD_MANIFESTS = ["manifest_alias", "manifest_id_twice", "manifest_parent", "manifest_absolute"]
+
+
 @pytest.fixture(scope="module")
-def bad_inputs(dataset_dir, tmp_path_factory):
+def bad_manifests(dataset_dir, tmp_path_factory):
+    """Data directory per bad manifest: the good dataset plus one line that
+    names a file again or a file outside the directory."""
+    tmp = tmp_path_factory.mktemp("manifests")
+    outside = tmp / "outside" / "box_0003.binvox"
+    outside.parent.mkdir()
+    shutil.copy(dataset_dir / "box_0003.binvox", outside)
+    extra = {"manifest_alias": "./sphere_0003.binvox", "manifest_id_twice": "sphere_0003",
+             "manifest_parent": "../outside/box_0003.binvox", "manifest_absolute": str(outside)}
+    dirs = {}
+    for case, path in extra.items():
+        dirs[case] = tmp / case
+        shutil.copytree(dataset_dir, dirs[case])
+        shutil.copy(dataset_dir / "sphere_0003.binvox", dirs[case] / "sphere_0003")
+        with open(dirs[case] / "manifest.tsv", "a") as f:
+            f.write(f"{path}\tsphere\ttrain\n")
+    return dirs
+
+
+@pytest.mark.parametrize("command", ["train", "extract", "eval"])
+@pytest.mark.parametrize("case", BAD_MANIFESTS)
+def test_bad_manifest_refused_before_output(bad_manifests, run_dir, tmp_path, case, command, capsys):
+    data, out = str(bad_manifests[case]), tmp_path / "out"
+    checkpoint = str(run_dir / "checkpoint.mdrnet")
+    argv = {"train": ["train", "--config", str(run_dir / "config.txt"), "--data", data, "--out", str(out)],
+            "extract": ["extract", "--checkpoint", checkpoint, "--data", data, "--out", str(out)],
+            "eval": ["eval", "--checkpoint", checkpoint, "--data", data, "--out", str(out)]}[command]
+    assert main(argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: manifest path")
+    assert not out.exists()
+
+
+def test_train_one_class_writes_nothing(tmp_path, capsys):
+    data, out = tmp_path / "one", tmp_path / "out"
+    assert main(["dataset-synth", "--classes", "sphere", "--per-class", "4", "--out", str(data)]) == 0
+    (tmp_path / "config.txt").write_text("mode = full\nepochs = 1\nbatch_size = 8\n")
+    capsys.readouterr()
+    assert main(["train", "--config", str(tmp_path / "config.txt"), "--data", str(data),
+                 "--out", str(out)]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == "error: classification and retrieval need at least 2 classes, got 1\n"
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def bad_inputs(dataset_dir, bad_manifests, tmp_path_factory):
     """argv per bad input: each names a file the CLI reads and must refuse."""
     from mdrnet import network, training, voxel
 
@@ -410,6 +465,19 @@ def bad_inputs(dataset_dir, tmp_path_factory):
         (tmp / name).write_bytes(text)
         cases[name] = ["train", "--config", str(tmp / name), "--data", str(dataset_dir),
                        "--out", str(tmp / "t")]
+
+    for case in BAD_MANIFESTS:
+        cases[case] = extract(tmp / "good.mdrnet", bad_manifests[case])
+    cases["synth_repeated_class"] = ["dataset-synth", "--classes", "sphere,sphere", "--per-class", "4",
+                                     "--out", str(tmp / "s")]
+    one_class = tmp / "one_class"
+    voxel.write_dataset(voxel.build_synthetic_dataset(["sphere"], 4, 0), one_class)
+    for mode in ("cnn_only", "full"):
+        (tmp / f"{mode}.txt").write_text(f"mode = {mode}\nepochs = 1\nbatch_size = 8\n")
+        cases[f"train_one_class_{mode}"] = ["train", "--config", str(tmp / f"{mode}.txt"), "--data",
+                                           str(one_class), "--out", str(tmp / "t")]
+    cases["train_manifest_alias"] = ["train", "--config", str(tmp / "cnn_only.txt"), "--data",
+                                     str(bad_manifests["manifest_alias"]), "--out", str(tmp / "t")]
     return cases
 
 
@@ -420,7 +488,9 @@ BAD_INPUTS = [
     "checkpoint/opt/gen.t=None", "binvox_dim_0", "mdr_export_k0", "mdr_export_30x30x60", "extract_30x30x60",
     "extract_mixed", "extract_cube36", "extract_cube60", "eval_no_relevant_item",
     "eval_nan_descriptors", "eval_duplicate_id", "manifest_not_utf8", "extract_empty_split", "config_lr_nan",
-    "config_not_utf8", "checkpoint_per_gate_lstm", "manifest_nul_path",
+    "config_not_utf8", "checkpoint_per_gate_lstm", "manifest_nul_path", "manifest_alias", "manifest_id_twice",
+    "manifest_parent", "manifest_absolute", "train_manifest_alias", "synth_repeated_class",
+    "train_one_class_cnn_only", "train_one_class_full",
 ]
 
 

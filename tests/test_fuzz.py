@@ -3,6 +3,7 @@ structured but wrong, each reader returns a well-formed value or raises
 its own module's typed error, never anything else. The one exception is
 a manifest naming a missing file or a directory: that is an OSError,
 the CLI's I/O exit code."""
+import posixpath
 import struct
 
 import numpy as np
@@ -179,7 +180,10 @@ def test_parse_config_structured(lines):
 # dataset manifests
 
 MANIFEST_PATHS = ["ok.binvox", "sub/ok.binvox", "bad.binvox", "missing.binvox", "sub", "", ".",
-                  "s\0.binvox", "x" * 300]
+                  "s\0.binvox", "x" * 300,
+                  # other spellings of the files above; {root} is the manifest's directory
+                  "./ok.binvox", "sub//ok.binvox", "sub/./ok", "ok", "sub/../ok.binvox", "../ok.binvox",
+                  "sub/../../ok.binvox", "/ok.binvox", "{root}/ok.binvox"]
 MANIFEST_FIELDS = ["c", "d", "", "train", "test", "val"]
 
 
@@ -187,7 +191,7 @@ MANIFEST_FIELDS = ["c", "d", "", "train", "test", "val"]
 def manifest_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("manifests")
     (root / "sub").mkdir()
-    for path in ("ok.binvox", "sub/ok.binvox"):
+    for path in ("ok.binvox", "sub/ok.binvox", "sub/ok"):
         (root / path).write_bytes(save_binvox(generate_synthetic("sphere", 0)))
     (root / "bad.binvox").write_bytes(b"#binvox 1\ndim 0 30 30\ndata\n")
     return root
@@ -201,6 +205,9 @@ def check_dataset(root, data):
         return
     assert dataset.shapes and all(isinstance(s.grid, VoxelGrid) for s in dataset.shapes)
     assert set(dataset.split.values()) <= {"train", "test"}
+    ids = [s.shape_id for s in dataset.shapes]
+    assert len(set(ids)) == len(ids)
+    assert all(posixpath.normpath(i) == i for i in ids)
 
 
 @FUZZ
@@ -216,6 +223,9 @@ def test_load_dataset_arbitrary_bytes(manifest_dir, data):
                           st.sampled_from(["\t", " "])), max_size=3))
 @example([("ok.binvox", ["c", "train"], "\t"), ("sub/ok.binvox", ["d", "test"], "\t")])
 @example([("ok.binvox", ["c", "train"], "\t"), ("s\0.binvox", ["c", "test"], "\t")])
+@example([("ok.binvox", ["c", "train"], "\t"), ("./ok.binvox", ["c", "test"], "\t")])
+@example([("sub/ok", ["c", "train"], "\t"), ("sub//ok.binvox", ["c", "test"], "\t")])
+@example([("{root}/ok.binvox", ["c", "train"], "\t")])
 def test_load_dataset_structured(manifest_dir, lines):
-    text = "\n".join(sep.join([path, *fields]) for path, fields, sep in lines)
+    text = "\n".join(sep.join([path.format(root=manifest_dir), *fields]) for path, fields, sep in lines)
     check_dataset(manifest_dir, text.encode("utf-8"))

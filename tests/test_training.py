@@ -105,6 +105,12 @@ class TestBuildModel:
         with pytest.raises(ConfigError):
             build_model("vae", N_CLASSES)
 
+    @pytest.mark.parametrize("mode", training.MODES)
+    @pytest.mark.parametrize("n_classes", [0, 1])
+    def test_fewer_than_two_classes_rejected(self, mode, n_classes):
+        with pytest.raises(ConfigError, match="at least 2 classes"):
+            build_model(mode, n_classes)
+
 
 class TestGridShapes:
     @staticmethod

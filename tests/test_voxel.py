@@ -1,4 +1,5 @@
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -188,6 +189,39 @@ class TestDataset:
             p.write_bytes(data)
             with pytest.raises(DatasetError):
                 voxel.load_dataset(p)
+
+    @pytest.mark.parametrize("path", ["sub//a.binvox", "./sub/a.binvox", "sub/./a.binvox", "sub/a"])
+    def test_path_spellings_give_one_id(self, tmp_path, path):
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "sub" / "a.binvox").write_bytes(save_binvox(generate_synthetic("box", 0)))
+        (tmp_path / "sub" / "a").write_bytes(save_binvox(generate_synthetic("box", 0)))
+        (tmp_path / "manifest.tsv").write_text(f"{path}\tbox\ttest\n")
+        assert [s.shape_id for s in voxel.load_dataset(tmp_path / "manifest.tsv").shapes] == ["sub/a"]
+
+    @pytest.mark.parametrize("lines", [
+        ["a.binvox", "./a.binvox"],  # one file, two spellings
+        ["a", "a.binvox"],  # one id, with and without the suffix
+        ["../a.binvox"],
+        ["sub/../../a.binvox"],
+        ["/abs/a.binvox"],
+    ])
+    def test_paths_outside_or_repeated_rejected(self, tmp_path, lines):
+        (tmp_path / "a").write_bytes(save_binvox(generate_synthetic("box", 0)))
+        (tmp_path / "a.binvox").write_bytes(save_binvox(generate_synthetic("box", 1)))
+        (tmp_path / "manifest.tsv").write_text("".join(f"{p}\tbox\ttest\n" for p in lines))
+        with pytest.raises(DatasetError):
+            voxel.load_dataset(tmp_path / "manifest.tsv")
+
+    def test_repeated_synthetic_class_rejected(self):
+        with pytest.raises(DatasetError, match="twice"):
+            voxel.build_synthetic_dataset(["sphere", "box", "sphere"], 4, 0)
+
+    def test_write_dataset_renames_every_file_into_place(self, tmp_path, monkeypatch):
+        rename, renamed = Path.rename, []
+        monkeypatch.setattr(Path, "rename", lambda self, target: renamed.append(target.name) or rename(self, target))
+        voxel.write_dataset(voxel.build_synthetic_dataset(["box", "cross"], 2, 0), tmp_path)
+        assert sorted(renamed) == sorted(p.name for p in tmp_path.iterdir()) == [
+            "box_0000.binvox", "box_0001.binvox", "cross_0000.binvox", "cross_0001.binvox", "manifest.tsv"]
 
     def test_invalid_grid_rejected(self):
         with pytest.raises(ValueError):

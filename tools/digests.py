@@ -1,0 +1,96 @@
+"""Print the byte-identity digests of a checkout: training checkpoints and CLI outputs.
+
+Run from the repository root:
+
+    PYTHONPATH=src python3 tools/digests.py
+
+It pins one BLAS thread (before NumPy loads), prints the NumPy and BLAS
+versions, then the first 8 hex digits of the SHA-256 of
+
+- the epoch-0 and 2-epoch checkpoints of each mode, trained on every shape
+  of `build_synthetic_dataset(SYNTHETIC_CLASSES, 8, 3)` with batch size 8
+  and seed 7;
+- every file of the CLI recipe: `dataset-synth --per-class 8 --seed 3`,
+  `train` (`mode = full`, `seed = 7`, `epochs = 1`, `batch_size = 8`),
+  `extract` on the test split and with `--split all`, and
+  `eval --checkpoint`; the `pr/*.csv` files are hashed concatenated in
+  sorted path order.
+
+Two checkouts whose outputs are byte-identical print the same digests on
+the same NumPy/BLAS build; other builds round differently. Everything is
+written into a temporary directory that is removed afterwards.
+"""
+import hashlib
+import os
+import sys
+import tempfile
+from contextlib import redirect_stdout
+from io import StringIO
+from pathlib import Path
+
+os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before NumPy loads BLAS
+
+import numpy as np  # noqa: E402
+
+from mdrnet import cli, training, voxel  # noqa: E402
+
+RECIPE_CONFIG = "mode = full\nseed = 7\nepochs = 1\nbatch_size = 8\n"
+
+
+def short(data):
+    return hashlib.sha256(data).hexdigest()[:8]
+
+
+def blas_version():
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"{blas['name']} {blas['version']}"
+
+
+def checkpoint_digests():
+    dataset = voxel.build_synthetic_dataset(voxel.SYNTHETIC_CLASSES, 8, 3)
+    x, y, _ = training.prepare_inputs(dataset.shapes, 3)
+    for mode in training.MODES:
+        trainer = training.Trainer(training.TrainConfig(mode=mode, batch_size=8, seed=7), len(dataset.classes))
+        initial = short(trainer.save())
+        for _ in range(2):
+            trainer.train_epoch(x, y)
+        print(f"checkpoint {mode:8s} epoch 0 {initial}  2 epochs {short(trainer.save())}")
+
+
+def run(argv):
+    with redirect_stdout(StringIO()):
+        code = cli.main(argv)
+    if code != cli.EXIT_OK:
+        sys.exit(f"mdrnet {' '.join(argv)} exited {code}")
+
+
+def recipe_digests(root):
+    data, run_dir, ev = root / "data", root / "run", root / "eval"
+    config = root / "config.txt"
+    config.write_text(RECIPE_CONFIG)
+    checkpoint = run_dir / "checkpoint.mdrnet"
+    run(["dataset-synth", "--per-class", "8", "--seed", "3", "--out", str(data)])
+    run(["train", "--config", str(config), "--data", str(data), "--out", str(run_dir)])
+    for split, name in (("test", "test.ddsd"), ("all", "all.ddsd")):
+        run(["extract", "--checkpoint", str(checkpoint), "--data", str(data), "--split", split,
+             "--out", str(root / name)])
+    run(["eval", "--checkpoint", str(checkpoint), "--data", str(data), "--out", str(ev)])
+    curves = b"".join(p.read_bytes() for p in sorted((ev / "pr").rglob("*.csv")))
+    for label, digest in (("checkpoint", short(checkpoint.read_bytes())),
+                          ("test.ddsd", short((root / "test.ddsd").read_bytes())),
+                          ("all.ddsd", short((root / "all.ddsd").read_bytes())),
+                          ("summary.txt", short((ev / "summary.txt").read_bytes())),
+                          ("macro_pr.csv", short((ev / "macro_pr.csv").read_bytes())),
+                          ("pr/*.csv", short(curves))):
+        print(f"recipe {label:12s} {digest}")
+
+
+def main():
+    print(f"numpy {np.__version__}; blas {blas_version()}")
+    checkpoint_digests()
+    with tempfile.TemporaryDirectory() as tmp:
+        recipe_digests(Path(tmp))
+
+
+if __name__ == "__main__":
+    main()
