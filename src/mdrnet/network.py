@@ -219,9 +219,10 @@ def save_descriptors(ids, descriptors):
     descriptors = np.asarray(descriptors, dtype=np.float64)
     if descriptors.ndim != 2 or descriptors.shape[1] != DESCRIPTOR_DIM:
         raise NetworkError(f"descriptors must be (n, {DESCRIPTOR_DIM})")
+    row = " ".join(["%.17g"] * DESCRIPTOR_DIM)
     lines = [f"DDSD n={len(ids)} dim={DESCRIPTOR_DIM}"]
     for sid, vec in zip(ids, descriptors):
-        lines.append(sid + "\t" + " ".join(f"{v:.17g}" for v in vec))
+        lines.append(sid + "\t" + row % tuple(vec.tolist()))
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 

@@ -101,6 +101,10 @@ class TestRetrieve:
         with pytest.raises(EvaluationError):
             retrieve("q", np.zeros(4), ["a"], np.zeros((1, 5)), [1], 1)
 
+    def test_repeated_gallery_id_rejected(self):
+        with pytest.raises(EvaluationError, match="'b' is repeated"):
+            retrieve("q", np.zeros(4), ["b", "a", "b"], np.eye(3, 4), [1, 1, 1], 1)
+
 
 def result(flags, qid="q"):
     return RetrievalResult(qid, [f"g{i}" for i in range(len(flags))], list(flags))
@@ -159,6 +163,21 @@ class TestPrCurve:
         interp = interpolated_precision(pr_curve(result(flags)))
         assert (np.diff(interp) <= 1e-12).all()
 
+    def test_csv_matches_fstring_reference_call_after_call(self):
+        """Curves that share values and curves that do not, each written
+        after the other, give the f-string bytes every time."""
+        flags = [[True, False, True], [False] * 5 + [True] * 3 + [False] * 9, [True, False, True]]
+        rng = np.random.default_rng(8)
+        flags.append(list(rng.random(200) < 0.2) + [True])
+        for f in flags:
+            curve = pr_curve(result(f))
+            rows = zip(curve.recall.tolist(), curve.precision.tolist())
+            expected = "".join(
+                ["rank,recall,precision\n"]
+                + [f"{rank},{r:.17g},{p:.17g}\n" for rank, (r, p) in enumerate(rows, start=1)]
+            )
+            assert pr_csv(result(f)) == expected
+
     def test_csv_outputs(self):
         res = result([True, False, True])
         lines = pr_csv(res).splitlines()
@@ -212,3 +231,47 @@ class TestLeaveOneOut:
                     for level in np.linspace(0.0, 1.0, 11)
                 ]
                 assert interpolated_precision(curve).tolist() == expected
+
+    def test_repeated_id_rejected(self):
+        with pytest.raises(EvaluationError, match="'a' is repeated"):
+            leave_one_out_retrieval(["a", "b", "a"], np.eye(3), [1, 1, 2])
+
+
+def tie_hard_table():
+    """Descriptors at norm ~1,600 with exact duplicates and near-duplicates
+    one ulp (`nextafter`) or 1e-9 apart, under permuted ids: their Gram
+    distances cancel to rounding noise, so most rankings need the repair."""
+    rng = np.random.default_rng(9)
+    n, dim = 90, 64
+    base = rng.normal(size=(n, dim)) * (1600 / np.sqrt(dim))
+    base[10:20] = base[10]
+    base[20:30] = base[20]
+    for i in range(30, 60, 3):
+        j = i % dim
+        base[i + 1] = base[i]
+        base[i + 2] = base[i]
+        base[i + 1, j] = np.nextafter(base[i, j], np.inf)
+        base[i + 2, j] = base[i, j] + 1e-9
+    base[60:90:2] = base[61:90:2]
+    base[60:90:2, 0] = np.nextafter(base[60:90:2, 0], -np.inf)
+    ids = [f"t{i:03d}" for i in rng.permutation(n)]
+    labels = list(rng.integers(1, 4, size=n))
+    return ids, base, labels
+
+
+class TestExactRanking:
+    def test_tie_hard_rankings_match_reference_norm(self):
+        ids, vecs, labels = tie_hard_table()
+        results = leave_one_out_retrieval(ids, vecs, labels)
+        for q, r in enumerate(results):
+            dists = np.linalg.norm(vecs - vecs[q], axis=1)
+            order = sorted((i for i in range(len(ids)) if i != q), key=lambda i: (dists[i], ids[i]))
+            assert r.query_id == ids[q]
+            assert r.ranked_ids == [ids[i] for i in order]
+            assert r.relevant == [labels[i] == labels[q] for i in order]
+
+    def test_retrieve_is_one_row_of_leave_one_out(self):
+        ids, vecs, labels = tie_hard_table()
+        results = leave_one_out_retrieval(ids, vecs, labels)
+        for q in range(len(ids)):
+            assert retrieve(ids[q], vecs[q], ids, vecs, labels, labels[q]) == results[q]

@@ -397,6 +397,13 @@ class TestDescriptorFiles:
         assert got_ids == ids
         assert np.array_equal(got_vecs, vecs)  # 17 significant digits is exact
 
+    def test_values_written_as_fstring_17g(self, rng):
+        vecs = rng.normal(size=(2, DESCRIPTOR_DIM)) * 1e3
+        vecs[0, :6] = [-0.0, 5e-324, 1e22, np.inf, 1 / 3, 123456789012345678.0]
+        lines = save_descriptors(["a", "b"], vecs).decode().splitlines()
+        for line, vec in zip(lines[1:], vecs):
+            assert line.split("\t")[1] == " ".join(f"{v:.17g}" for v in vec)
+
     def test_header(self):
         data = save_descriptors(["x"], np.zeros((1, DESCRIPTOR_DIM)))
         assert data.decode().splitlines()[0] == f"DDSD n=1 dim={DESCRIPTOR_DIM}"

@@ -13,8 +13,14 @@ versions, then the first 8 hex digits of the SHA-256 of
 - every file of the CLI recipe: `dataset-synth --per-class 8 --seed 3`,
   `train` (`mode = full`, `seed = 7`, `epochs = 1`, `batch_size = 8`),
   `extract` on the test split and with `--split all`, and
-  `eval --checkpoint`; the `pr/*.csv` files are hashed concatenated in
-  sorted path order.
+  `eval --checkpoint`;
+- the files of `eval --descriptors` on a table of 400 shapes
+  (`dataset-synth --per-class 100 --seed 3`) whose 1024-d descriptors,
+  drawn from seed 5 around one centre per class, hold exact duplicates and
+  near-duplicates one ulp (`nextafter`) or 1e-9 apart, under permuted rows:
+  the ties that retrieval ranking must break as the per-pair norm does.
+
+The `pr/*.csv` files are hashed concatenated in sorted path order.
 
 Two checkouts whose outputs are byte-identical print the same digests on
 the same NumPy/BLAS build; other builds round differently. Everything is
@@ -32,7 +38,7 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before NumPy loads BLAS
 
 import numpy as np  # noqa: E402
 
-from mdrnet import cli, training, voxel  # noqa: E402
+from mdrnet import cli, network, training, voxel  # noqa: E402
 
 RECIPE_CONFIG = "mode = full\nseed = 7\nepochs = 1\nbatch_size = 8\n"
 
@@ -64,6 +70,39 @@ def run(argv):
         sys.exit(f"mdrnet {' '.join(argv)} exited {code}")
 
 
+def eval_digests(ev):
+    curves = b"".join(p.read_bytes() for p in sorted((ev / "pr").rglob("*.csv")))
+    return (("summary.txt", short((ev / "summary.txt").read_bytes())),
+            ("macro_pr.csv", short((ev / "macro_pr.csv").read_bytes())),
+            ("pr/*.csv", short(curves)))
+
+
+def tie_table(ids, labels):
+    """Class-clustered descriptors with exact and one-ulp/1e-9 near duplicates."""
+    rng = np.random.default_rng(5)
+    centres = rng.normal(size=(max(labels), network.DESCRIPTOR_DIM))
+    vecs = centres[np.asarray(labels) - 1] + 3.0 * rng.normal(size=(len(ids), network.DESCRIPTOR_DIM))
+    vecs[1:10] = vecs[0]
+    for i in range(20, 80, 3):
+        vecs[i + 1] = vecs[i + 2] = vecs[i]
+        vecs[i + 1, i] = np.nextafter(vecs[i, i], np.inf)
+        vecs[i + 2, i] += 1e-9
+    rows = rng.permutation(len(ids))
+    return [ids[i] for i in rows], vecs[rows]
+
+
+def descriptor_eval_digests(root):
+    data, ev = root / "data400", root / "eval400"
+    run(["dataset-synth", "--per-class", "100", "--seed", "3", "--out", str(data)])
+    shapes = voxel.load_dataset(data / "manifest.tsv").shapes
+    ids, vecs = tie_table([s.shape_id for s in shapes], [s.label for s in shapes])
+    table = root / "ties.ddsd"
+    table.write_bytes(network.save_descriptors(ids, vecs))
+    run(["eval", "--descriptors", str(table), "--data", str(data), "--out", str(ev)])
+    for label, digest in eval_digests(ev):
+        print(f"eval400 {label:12s} {digest}")
+
+
 def recipe_digests(root):
     data, run_dir, ev = root / "data", root / "run", root / "eval"
     config = root / "config.txt"
@@ -75,13 +114,10 @@ def recipe_digests(root):
         run(["extract", "--checkpoint", str(checkpoint), "--data", str(data), "--split", split,
              "--out", str(root / name)])
     run(["eval", "--checkpoint", str(checkpoint), "--data", str(data), "--out", str(ev)])
-    curves = b"".join(p.read_bytes() for p in sorted((ev / "pr").rglob("*.csv")))
     for label, digest in (("checkpoint", short(checkpoint.read_bytes())),
                           ("test.ddsd", short((root / "test.ddsd").read_bytes())),
                           ("all.ddsd", short((root / "all.ddsd").read_bytes())),
-                          ("summary.txt", short((ev / "summary.txt").read_bytes())),
-                          ("macro_pr.csv", short((ev / "macro_pr.csv").read_bytes())),
-                          ("pr/*.csv", short(curves))):
+                          *eval_digests(ev)):
         print(f"recipe {label:12s} {digest}")
 
 
@@ -90,6 +126,7 @@ def main():
     checkpoint_digests()
     with tempfile.TemporaryDirectory() as tmp:
         recipe_digests(Path(tmp))
+        descriptor_eval_digests(Path(tmp))
 
 
 if __name__ == "__main__":
