@@ -136,7 +136,7 @@ def leaky_rectifier(a, slope=0.2):
     mask = a.data >= 0
 
     def backward(g):
-        a.accumulate(g * np.where(mask, 1.0, slope))
+        a.accumulate(np.where(mask, g, slope * g))
 
     return _make(np.where(mask, a.data, slope * a.data), (a,), backward)
 
@@ -180,6 +180,11 @@ def mean_axis(a, axis):
 # layers
 
 
+# conv2d's forward GEMM runs over this many rows at a time: one GEMM over
+# all B*ho*wo rows raised the training benchmarks' peak memory by 20 MB
+_CONV_ROW_BLOCK = 4096
+
+
 def same_ceil_padding(size, kernel, stride):
     """(low, high) zero padding so the output length is ceil(size/stride)."""
     out = -(-size // stride)
@@ -192,12 +197,22 @@ def conv2d(x, kernels, bias=None, stride=2):
     """Batched 2D cross-correlation with ceil-mode "same" padding.
 
     x: (B, C_in, H, W) or (C_in, H, W); kernels: (C_out, C_in, kh, kw);
-    bias: (C_out,) or None. Output spatial size is ceil(H/stride). The
-    backward scatters the input gradient into a channels-last buffer and
-    hands it back as a (B, C_in, H, W) view.
+    bias: (C_out,) or None. Output spatial size is ceil(H/stride).
+
+    The interface is NCHW; the work is channels-last. The input is read
+    as its (B, H, W, C_in) transpose, a free view when x is the NCHW view
+    of a channels-last buffer, as every conv2d output is. Patches are
+    gathered as (B*ho*wo, kh*kw*C_in) rows, each tap a run of whole
+    channels, and multiplied by the kernels in (kh, kw, C_in) order into
+    a (B*ho*wo, C_out) buffer whose (B, C_out, ho, wo) view is the
+    output. The backward reads the output gradient as the same rows,
+    forms the kernel gradient from them and the patch rows, and scatters
+    the input gradient into a channels-last buffer handed back as an NCHW
+    view.
     """
     x = _as_tensor(x)
     kernels = _as_tensor(kernels)
+    bias = None if bias is None else _as_tensor(bias)
     squeeze = x.ndim == 3
     xd = x.data[None] if squeeze else x.data
     if xd.ndim != 4 or kernels.ndim != 4:
@@ -208,43 +223,45 @@ def conv2d(x, kernels, bias=None, stride=2):
         raise EngineError(f"conv2d channel mismatch: input {ci}, kernels {ci_k}")
     pl_h, ph_h = same_ceil_padding(H, kh, stride)
     pl_w, ph_w = same_ceil_padding(W, kw, stride)
-    xp = np.pad(xd, ((0, 0), (0, 0), (pl_h, ph_h), (pl_w, ph_w)))
-    Hp, Wp = xp.shape[2], xp.shape[3]
+    xp = np.pad(xd.transpose(0, 2, 3, 1), ((0, 0), (pl_h, ph_h), (pl_w, ph_w), (0, 0)))
+    Hp, Wp = xp.shape[1], xp.shape[2]
     ho = -(-H // stride)
     wo = -(-W // stride)
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]  # (B, ci, ho, wo, kh, kw)
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
+    win = win[:, ::stride, ::stride]  # (B, ho, wo, ci, kh, kw)
     K = ci * kh * kw
-    # one large GEMM with the batch folded into the column axis
-    cols = np.ascontiguousarray(win.transpose(1, 4, 5, 0, 2, 3)).reshape(K, B * ho * wo)
-    wf = kernels.data.reshape(co, K)
-    out = wf @ cols  # (co, B*ho*wo)
-    if bias is not None:
-        bias = _as_tensor(bias)
-        out = out + bias.data[:, None]
-    out = np.ascontiguousarray(out.reshape(co, B, ho, wo).transpose(1, 0, 2, 3))
-
+    N = B * ho * wo
+    rows = np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(N, K)
+    del xp, win  # free the padded input before the GEMM, not at return
+    wr = kernels.data.transpose(0, 2, 3, 1).reshape(co, K)  # (co, kh*kw*ci)
+    out = np.empty((N, co))
+    for r in range(0, N, _CONV_ROW_BLOCK):
+        block = out[r : r + _CONV_ROW_BLOCK]
+        np.matmul(rows[r : r + _CONV_ROW_BLOCK], wr.T, out=block)
+        if bias is not None:
+            block += bias.data
+    out = out.reshape(B, ho, wo, co).transpose(0, 3, 1, 2)
     parents = (x, kernels) if bias is None else (x, kernels, bias)
 
     def backward(g):
         if squeeze:
             g = g[None]
-        gf = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(co, B * ho * wo)
+        gr = g.transpose(0, 2, 3, 1).reshape(N, co)  # a view when g is channels-last
         if _needs_grad(kernels):
-            kernels.accumulate((gf @ cols.T).reshape(kernels.shape))
+            dw = (gr.T @ rows).reshape(co, kh, kw, ci)
+            kernels.accumulate(np.ascontiguousarray(dw.transpose(0, 3, 1, 2)))
         if bias is not None and _needs_grad(bias):
-            bias.accumulate(gf.sum(axis=1))
+            bias.accumulate(gr.sum(axis=0))
         if _needs_grad(x):
             # col2im channels-last: each tap slab is a run of whole channel rows
-            wr = kernels.data.transpose(0, 2, 3, 1).reshape(co, K)
-            dcols = (gf.T @ wr).reshape(B, ho, wo, kh, kw, ci)
+            dcols = (gr @ wr).reshape(B, ho, wo, kh, kw, ci)
             dxp = np.zeros((B, Hp, Wp, ci))
             for i in range(kh):
                 for j in range(kw):
                     dxp[:, i : i + stride * ho : stride, j : j + stride * wo : stride] += (
                         dcols[:, :, :, i, j]
                     )
-            del gf, dcols
+            del gr, dcols
             dx = dxp[:, pl_h : Hp - ph_h or None, pl_w : Wp - ph_w or None].transpose(0, 3, 1, 2)
             x.accumulate(dx[0] if squeeze else dx)
 
@@ -511,11 +528,22 @@ def adam_step(params, grads, state, lr):
     for p, g, m, v in zip(params, grads, state.m, state.v):
         if g is None:
             continue
+        # p -= lr * (m / c1) / (sqrt(v / c2) + eps), in the same operation
+        # order and so with the same bits, through two scratch buffers
+        num, den = np.empty_like(m), np.empty_like(v)
         m *= b1
-        m += (1.0 - b1) * g
+        m += np.multiply(g, 1.0 - b1, out=num)
         v *= b2
-        v += (1.0 - b2) * (g * g)
-        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+        np.multiply(g, g, out=den)
+        v += np.multiply(den, 1.0 - b2, out=den)
+        np.divide(m, c1, out=num)
+        num *= lr
+        np.divide(v, c2, out=den)
+        np.sqrt(den, out=den)
+        den += eps
+        num /= den
+        p.data -= num
+        del num, den  # freed before the next parameter's are allocated
 
 
 class Adam:

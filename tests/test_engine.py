@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mdrnet import engine
+from mdrnet import engine, network
 from mdrnet.engine import (
     Adam,
     AdamState,
@@ -111,6 +111,49 @@ class TestConv2d:
         assert np.allclose(x.grad, dx, rtol=0, atol=1e-12)
         assert np.allclose(w.grad, dw, rtol=0, atol=1e-12)
         assert np.allclose(b.grad, db, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("x_shape, w_shape, stride", [
+        ((2, 3, 9, 7), (5, 3, 4, 4), 2),
+        ((2, 4, 5, 6), (3, 4, 3, 3), 1),
+    ])
+    @pytest.mark.parametrize("with_bias", [True, False])
+    def test_channels_last_input_matches_nchw(self, rng, x_shape, w_shape, stride, with_bias):
+        """A C-contiguous input and the NCHW view of a channels-last buffer
+        holding the same values give the same bits, forward and backward."""
+        x = rng.normal(size=x_shape)
+        w = rng.normal(size=w_shape)
+        b = rng.normal(size=w_shape[0]) if with_bias else None
+        ho, wo = -(-x_shape[2] // stride), -(-x_shape[3] // stride)
+        g = rng.normal(size=(x_shape[0], w_shape[0], ho, wo))
+        results = []
+        for xd in (x, np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)):
+            ts = [Tensor(a, requires_grad=True) for a in (xd, w, b) if a is not None]
+            out = engine.conv2d(*ts[:2], ts[2] if with_bias else None, stride=stride)
+            linear_readout(out, Tensor(g.reshape(1, -1))).backward()
+            results.append([out.data] + [t.grad for t in ts])
+        for a, c in zip(*results):
+            assert np.array_equal(a, c)
+        dx, dw, db = naive_conv2d_backward(x, w, g, stride)
+        for got, want in zip(results[0][1:], (dx, dw, db)):
+            assert np.allclose(got, want, rtol=0, atol=1e-12)
+        assert results[0][2].flags.c_contiguous  # the kernel gradient, as Adam's moments are
+
+    def test_encoder_outputs_stay_channels_last(self, rng, monkeypatch):
+        """Every encoder conv returns the NCHW view of a channels-last buffer,
+        so the next conv reads its input without a copy."""
+        outputs = []
+        conv2d = engine.conv2d
+
+        def recording_conv2d(*args, **kwargs):
+            outputs.append(conv2d(*args, **kwargs))
+            return outputs[-1]
+
+        monkeypatch.setattr(engine, "conv2d", recording_conv2d)
+        network.encode_slice(network.init_encoder(rng), rng.uniform(size=(3, 1, 30, 30)))
+        shapes = [o.shape[1:] for o in outputs]
+        assert shapes == [(32, 15, 15), (64, 8, 8), (128, 4, 4), (256, 2, 2)]
+        for out in outputs:
+            assert out.data.transpose(0, 2, 3, 1).flags.c_contiguous
 
     def test_input_without_gradient_gets_none(self, rng):
         x = Tensor(rng.uniform(-1, 1, size=(2, 1, 6, 6)))
@@ -252,6 +295,29 @@ class TestAdam:
             adam_step([p], [g * 0.5], state, 0.05)
             results.append(p.data.copy())
         assert np.array_equal(results[0], results[1])
+
+    def test_in_place_update_matches_expression(self, rng):
+        """Five steps give the bits of the plain-expression update."""
+        b1, b2, eps = engine.ADAM_BETA1, engine.ADAM_BETA2, engine.ADAM_EPS
+        shapes = [(3, 4), (5,)]
+        steps = [[rng.normal(size=s) * 10.0 ** rng.integers(-6, 3, size=s) for s in shapes]
+                 for _ in range(5)]
+        # parameters start at zero so that no update's low bits are rounded away
+        params = [Tensor(np.zeros(s), requires_grad=True) for s in shapes]
+        ref = [p.data.copy() for p in params]
+        m = [np.zeros(s) for s in shapes]
+        v = [np.zeros(s) for s in shapes]
+        state = AdamState.for_params(params)
+        for t, grads in enumerate(steps, 1):
+            adam_step(params, grads, state, 0.01)
+            c1, c2 = 1.0 - b1**t, 1.0 - b2**t
+            for k, g in enumerate(grads):
+                m[k] = m[k] * b1 + (1.0 - b1) * g
+                v[k] = v[k] * b2 + (1.0 - b2) * (g * g)
+                ref[k] = ref[k] - 0.01 * (m[k] / c1) / (np.sqrt(v[k] / c2) + eps)
+        for p, want, mk, vk, sm, sv in zip(params, ref, m, v, state.m, state.v):
+            assert np.array_equal(p.data, want)
+            assert np.array_equal(sm, mk) and np.array_equal(sv, vk)
 
     def test_epoch_decay_exact(self):
         opt = Adam([Tensor(np.zeros(1), requires_grad=True)], 0.01, decay=0.995)
