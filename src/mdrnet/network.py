@@ -179,11 +179,11 @@ def save_records(records):
 
 
 def load_records(data):
-    """Inverse of save_records; a truncated record or a non-UTF-8 name is a
-    NetworkError. A cut between two records is not detectable here."""
+    """Inverse of save_records as read-only views of `data`; a truncated record or
+    a non-UTF-8 name is a NetworkError, but a cut between two records is not."""
     if data[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
         raise NetworkError("bad checkpoint magic")
-    view = memoryview(data)
+    view = memoryview(data).toreadonly()
     pos = len(CHECKPOINT_MAGIC)
 
     def take(nbytes, what):
@@ -204,7 +204,7 @@ def load_records(data):
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim, f"the shape of {name}"))
         payload = take(8 * math.prod(shape), f"the values of {name}")
         try:
-            records[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64)
+            records[name] = np.frombuffer(payload, dtype="<f8").reshape(shape)
         except ValueError as e:  # a rank numpy cannot hold
             raise NetworkError(f"record {name} has rank {ndim}: {e}") from e
     return records

@@ -64,6 +64,8 @@ class TrainConfig:
             raise ConfigError("decay must be in (0, 1]")
         if self.epochs < 0:
             raise ConfigError("epochs must be non-negative")
+        if self.epochs and min(self.lr_gen, self.lr_dis) * self.decay ** (self.epochs - 1) == 0.0:
+            raise ConfigError(f"decay {self.decay} takes a learning rate to 0.0 by epoch {self.epochs - 1}")
         if self.k < 1:
             raise ConfigError("k must be positive")
 
@@ -89,6 +91,8 @@ def parse_config(text) -> TrainConfig:
         key, val = key.strip(), val.strip()
         if key not in _CONFIG_TYPES:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in values:
+            raise ConfigError(f"line {lineno}: key {key!r} is set on an earlier line")
         kind = _CONFIG_TYPES[key]
         try:
             if kind == "int":
@@ -349,13 +353,6 @@ class Trainer:
 
     # -- checkpointing -----------------------------------------------------
 
-    def _opt_groups(self):
-        """(group, optimizer, parameter names) of the two Adam states."""
-        return [
-            ("gen", self.opt_gen, [n for n, _ in self.model.gen_tensors()]),
-            ("head", self.opt_head, [n for n, _ in self.model.head_tensors()]),
-        ]
-
     def to_records(self):
         records = {
             "/meta/mode_id": np.float64(_MODE_IDS[self.model.mode]),
@@ -366,9 +363,10 @@ class Trainer:
         }
         for name, t in self.model.named_tensors().items():
             records[name] = t.data
-        for group, opt, names in self._opt_groups():
+        for group, opt, tensors in (("gen", self.opt_gen, self.model.gen_tensors()),
+                                    ("head", self.opt_head, self.model.head_tensors())):
             records[f"/opt/{group}.t"] = np.float64(opt.state.t)
-            for pname, m, v in zip(names, opt.state.m, opt.state.v):
+            for (pname, _), m, v in zip(tensors, opt.state.m, opt.state.v):
                 records[f"/opt/{pname}.m"] = m
                 records[f"/opt/{pname}.v"] = v
         return records
@@ -379,9 +377,9 @@ class Trainer:
 
     @classmethod
     def restore(cls, data, config: TrainConfig | None = None):
-        """Rebuild a trainer from `save` bytes; a missing, misshapen or
-        out-of-range record, or a `config` whose mode or k differs from the
-        checkpoint's, is a NetworkError."""
+        """Rebuild a trainer from `save` bytes, filling a new trainer's arrays in
+        place; records other than the names and shapes of its `to_records`, an
+        out-of-range count, or a config differing in mode or k are a NetworkError."""
         records = network.load_records(data)
 
         def record(name, shape):
@@ -389,7 +387,7 @@ class Trainer:
                 raise NetworkError(f"checkpoint missing record {name}")
             if records[name].shape != shape:
                 raise NetworkError(f"checkpoint record {name} has shape {records[name].shape}, not {shape}")
-            return records[name]  # load_records made it a fresh array
+            return records[name]
 
         def count(name, low, high=math.inf):
             value = float(record(name, ()))
@@ -410,13 +408,17 @@ class Trainer:
         sizes = _head_sizes(config.mode, n_classes)
         record(f"{_head_prefix(config.mode)}.fc{len(sizes) - 2}.w", (sizes[-1], sizes[-2]))
         trainer = cls(config, n_classes)
+        layout = trainer.to_records()
+        for name, value in layout.items():
+            stored = record(name, np.shape(value))
+            if isinstance(value, np.ndarray):  # a parameter or Adam moment; the scalars are counts
+                value[...] = stored
+        for name in records:
+            if name not in layout:
+                raise NetworkError(f"checkpoint has unexpected record {name}")
         trainer.epoch = count("/meta/epoch", 0)
-        for name, t in trainer.model.named_tensors().items():
-            t.data = record(name, t.data.shape)
-        for group, opt, names in trainer._opt_groups():
-            opt.state.t = count(f"/opt/{group}.t", 0)
-            opt.state.m = [record(f"/opt/{n}.m", p.data.shape) for n, p in zip(names, opt.params)]
-            opt.state.v = [record(f"/opt/{n}.v", p.data.shape) for n, p in zip(names, opt.params)]
+        trainer.opt_gen.state.t = count("/opt/gen.t", 0)
+        trainer.opt_head.state.t = count("/opt/head.t", 0)
         return trainer
 
 

@@ -249,6 +249,8 @@ def train_test_counts(per_class):
 
 def build_synthetic_dataset(classes, per_class, seed):
     """In-memory labeled dataset with a 75/25 split by per-class index."""
+    if not classes:
+        raise DatasetError("no synthetic class given")
     for c in classes:
         if c not in SYNTHETIC_CLASSES:
             raise DatasetError(f"unknown synthetic class {c!r}")

@@ -1,4 +1,5 @@
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -452,6 +453,9 @@ def bad_inputs(dataset_dir, bad_manifests, tmp_path_factory):
                 per_gate[f"{prefix}gen.lstm.{stem}{gate}{suffix}"] = np.zeros(shape)
     (tmp / "per_gate.mdrnet").write_bytes(network.save_records(per_gate))
     cases["checkpoint_per_gate_lstm"] = extract(tmp / "per_gate.mdrnet")
+    extra = {**network.load_records(good), "gen.extra": np.zeros(3)}
+    (tmp / "extra.mdrnet").write_bytes(network.save_records(extra))
+    cases["checkpoint_extra_record"] = extract(tmp / "extra.mdrnet")
 
     (tmp / "nul").mkdir()
     (tmp / "nul" / "manifest.tsv").write_bytes(b"s\x00.binvox\tc\ttest\n")
@@ -461,15 +465,19 @@ def bad_inputs(dataset_dir, bad_manifests, tmp_path_factory):
     cases["manifest_not_utf8"] = extract(tmp / "good.mdrnet", tmp / "latin1")
     cases["extract_empty_split"] = ["extract", "--checkpoint", str(tmp / "good.mdrnet"), "--data",
                                     str(singles), "--split", "train", "--out", str(tmp / "o.ddsd")]
-    for name, text in {"config_lr_nan": b"lr_gen = nan\n", "config_not_utf8": b"mode = \xff\n"}.items():
+    for name, text in {"config_lr_nan": b"lr_gen = nan\n", "config_not_utf8": b"mode = \xff\n",
+                       "config_repeated_key": b"mode = cnn_only\nmode = full\n",
+                       "config_decay_underflow": b"mode = cnn_only\nepochs = 3\ndecay = 1e-200\n"}.items():
         (tmp / name).write_bytes(text)
         cases[name] = ["train", "--config", str(tmp / name), "--data", str(dataset_dir),
-                       "--out", str(tmp / "t")]
+                       "--out", str(tmp / f"out_{name}")]
 
     for case in BAD_MANIFESTS:
         cases[case] = extract(tmp / "good.mdrnet", bad_manifests[case])
     cases["synth_repeated_class"] = ["dataset-synth", "--classes", "sphere,sphere", "--per-class", "4",
                                      "--out", str(tmp / "s")]
+    cases["synth_no_class"] = ["dataset-synth", "--classes", ",", "--per-class", "4",
+                               "--out", str(tmp / "out_synth_no_class")]
     one_class = tmp / "one_class"
     voxel.write_dataset(voxel.build_synthetic_dataset(["sphere"], 4, 0), one_class)
     for mode in ("cnn_only", "full"):
@@ -490,7 +498,8 @@ BAD_INPUTS = [
     "eval_nan_descriptors", "eval_duplicate_id", "manifest_not_utf8", "extract_empty_split", "config_lr_nan",
     "config_not_utf8", "checkpoint_per_gate_lstm", "manifest_nul_path", "manifest_alias", "manifest_id_twice",
     "manifest_parent", "manifest_absolute", "train_manifest_alias", "synth_repeated_class",
-    "train_one_class_cnn_only", "train_one_class_full",
+    "train_one_class_cnn_only", "train_one_class_full", "checkpoint_extra_record", "config_repeated_key",
+    "config_decay_underflow", "synth_no_class",
 ]
 
 
@@ -499,3 +508,11 @@ def test_bad_input_usage_error(bad_inputs, case, capsys):
     assert sorted(bad_inputs) == sorted(BAD_INPUTS)
     assert main(bad_inputs[case]) == cli.EXIT_USAGE
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("case", ["config_repeated_key", "config_decay_underflow", "synth_no_class"])
+def test_refused_before_output(bad_inputs, case, capsys):
+    out = Path(bad_inputs[case][bad_inputs[case].index("--out") + 1])
+    assert main(bad_inputs[case]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -66,9 +67,14 @@ class TestConfig:
             "decay = 1.5",
             "lr_gen = nan",
             "lr_dis = inf",
+            "mode = cnn_only\nepochs = 3\ndecay = 1e-200",  # lr_dis * decay**2 underflows to 0.0
         ):
             with pytest.raises(ConfigError):
                 parse_config(text)
+
+    def test_repeated_key_rejected(self):
+        with pytest.raises(ConfigError, match="line 3: key 'mode'"):
+            parse_config("mode = cnn_only\nepochs = 2\nmode = full\n")
 
     def test_comments_and_blanks_ok(self):
         cfg = parse_config("# comment\n\nmode = cnn_only\n")
@@ -342,16 +348,51 @@ class TestCheckpoint:
         ("/opt/head.fc0.b.v", np.zeros(3)),
         ("gen.enc0.b", np.zeros(3)),
         ("/meta/readout_id", 1),
+        ("gen.extra", np.zeros(3)),
+        ("gen.lstm.w_x", "full"),  # with its Adam moments, from a model of that mode
     ])
     def test_bad_record_rejected(self, name, value):
         records = network.load_records(Trainer(TrainConfig(mode="cnn_only", seed=7), N_CLASSES).save())
-        assert name in records
+        assert (name in records) == (name not in ("gen.extra", "gen.lstm.w_x"))
         if value is None:
             del records[name]
+        elif isinstance(value, str):
+            other = Trainer(TrainConfig(mode=value, seed=7), N_CLASSES).to_records()
+            for added in (name, f"/opt/{name}.m", f"/opt/{name}.v"):
+                records[added] = other[added]
         else:
             records[name] = np.asarray(value, dtype=np.float64)
-        with pytest.raises(NetworkError):
+        with pytest.raises(NetworkError, match=re.escape(name)):
             Trainer.restore(network.save_records(records))
+
+    def test_restored_trainer_does_not_alias_its_input(self):
+        x, y, _ = small_batch(4)
+        tr = Trainer(TrainConfig(mode="cnn_only", batch_size=4, seed=2), N_CLASSES)
+        tr.train_epoch(x, y)
+        data = tr.save()
+        buf = bytearray(data)
+        restored = Trainer.restore(buf)
+        buf[:] = bytes(len(buf))
+        assert restored.save() == data
+
+    def test_restore_fills_the_built_model_in_place(self, monkeypatch):
+        x, y, _ = small_batch(4)
+        tr = Trainer(TrainConfig(mode="cnn_rnn", batch_size=4, seed=2), N_CLASSES)
+        tr.train_epoch(x, y)
+        built, build = [], training.build_model
+
+        def recording(*args, **kwargs):
+            model = build(*args, **kwargs)
+            built.append({name: t.data for name, t in model.named_tensors().items()})
+            return model
+
+        monkeypatch.setattr(training, "build_model", recording)
+        restored = Trainer.restore(tr.save())
+        assert len(built) == 1
+        trained = tr.model.named_tensors()
+        for name, t in restored.model.named_tensors().items():
+            assert t.data is built[0][name]
+            assert np.array_equal(t.data, trained[name].data)
 
 
     def test_n_classes_checked_before_model_is_built(self, monkeypatch):

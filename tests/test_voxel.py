@@ -216,6 +216,10 @@ class TestDataset:
         with pytest.raises(DatasetError, match="twice"):
             voxel.build_synthetic_dataset(["sphere", "box", "sphere"], 4, 0)
 
+    def test_no_synthetic_class_rejected(self):
+        with pytest.raises(DatasetError, match="no synthetic class"):
+            voxel.build_synthetic_dataset([], 4, 0)
+
     def test_write_dataset_renames_every_file_into_place(self, tmp_path, monkeypatch):
         rename, renamed = Path.rename, []
         monkeypatch.setattr(Path, "rename", lambda self, target: renamed.append(target.name) or rename(self, target))

@@ -9,7 +9,9 @@ versions, then the first 8 hex digits of the SHA-256 of
 
 - the epoch-0 and 2-epoch checkpoints of each mode, trained on every shape
   of `build_synthetic_dataset(SYNTHETIC_CLASSES, 8, 3)` with batch size 8
-  and seed 7;
+  and seed 7, and what `Trainer.restore` of the 2-epoch checkpoint saves
+  again, which must equal it (the only digest that covers restored Adam
+  moments);
 - every file of the CLI recipe: `dataset-synth --per-class 8 --seed 3`,
   `train` (`mode = full`, `seed = 7`, `epochs = 1`, `batch_size = 8`),
   `extract` on the test split and with `--split all`, and
@@ -60,7 +62,9 @@ def checkpoint_digests():
         initial = short(trainer.save())
         for _ in range(2):
             trainer.train_epoch(x, y)
-        print(f"checkpoint {mode:8s} epoch 0 {initial}  2 epochs {short(trainer.save())}")
+        data = trainer.save()
+        restored = short(training.Trainer.restore(data).save())
+        print(f"checkpoint {mode:8s} epoch 0 {initial}  2 epochs {short(data)}  restored {restored}")
 
 
 def run(argv):
