@@ -2,12 +2,14 @@
 
 Exit codes: 0 success, 2 usage/config error, 3 numerical failure, 4 I/O.
 All randomness flows from explicit --seed / config values; the
-environment is never consulted.
+environment is never consulted for it, only recorded in run_manifest.json.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import sys
 from pathlib import Path
 
@@ -65,6 +67,23 @@ def _load_dataset(path):
     return voxel.load_dataset(manifest)
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def platform_record():
+    """What decides a run's bits besides its config: interpreter, NumPy,
+    BLAS build, BLAS thread settings and the CPUs this process may use."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": blas.get("name"),
+        "blas_version": blas.get("version"),
+        **{var: os.environ.get(var) for var in BLAS_THREAD_VARS},
+        "cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
+    }
+
+
 def cmd_train(args):
     config = training.parse_config(Path(args.config).read_bytes())
     dataset = _load_dataset(args.data)
@@ -81,6 +100,7 @@ def cmd_train(args):
         "checkpoint": str(checkpoint_path),
         "metrics": str(metrics_path),
         "tool_version": __version__,
+        "platform": platform_record(),
     }
     write_atomic(out_dir / "run_manifest.json", json.dumps(manifest, indent=2) + "\n")
 

@@ -123,22 +123,22 @@ def _make(data, parents, backward):
 
 def _logistic(x):
     """Plain numpy sigmoid, split at 0 so that exp never overflows."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(np.minimum(x, -x))  # exp(-|x|), a NaN keeps its sign
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def leaky_rectifier(a, slope=0.2):
+    """max(a, slope*a): the same as a where a >= 0, else slope*a, for 0 < slope <= 1."""
+    if not 0.0 < slope <= 1.0:
+        raise EngineError(f"leaky_rectifier needs 0 < slope <= 1, got {slope}")
     a = _as_tensor(a)
-    mask = a.data >= 0
+    out = slope * a.data
+    np.maximum(a.data, out, out=out)
 
     def backward(g):
-        a.accumulate(np.where(mask, g, slope * g))
+        a.accumulate(np.where(a.data >= 0, g, slope * g))
 
-    return _make(np.where(mask, a.data, slope * a.data), (a,), backward)
+    return _make(out, (a,), backward)
 
 
 def rms_normalize(a, axes):
@@ -180,8 +180,9 @@ def mean_axis(a, axis):
 # layers
 
 
-# conv2d's forward GEMM runs over this many rows at a time: one GEMM over
-# all B*ho*wo rows raised the training benchmarks' peak memory by 20 MB
+# conv2d's forward gathers and multiplies at most this many patch rows at a
+# time, in blocks of whole images (at least one): one GEMM over all B*ho*wo
+# rows raised the training benchmarks' peak memory by 20 MB
 _CONV_ROW_BLOCK = 4096
 
 
@@ -205,10 +206,12 @@ def conv2d(x, kernels, bias=None, stride=2):
     gathered as (B*ho*wo, kh*kw*C_in) rows, each tap a run of whole
     channels, and multiplied by the kernels in (kh, kw, C_in) order into
     a (B*ho*wo, C_out) buffer whose (B, C_out, ho, wo) view is the
-    output. The backward reads the output gradient as the same rows,
-    forms the kernel gradient from them and the patch rows, and scatters
-    the input gradient into a channels-last buffer handed back as an NCHW
-    view.
+    output. The rows are gathered and multiplied one block of whole
+    images at a time, and kept only when a graph records: the kernel
+    gradient needs them. The backward reads the output gradient as the
+    same rows, forms the kernel gradient from them and the patch rows,
+    and scatters the input gradient into a channels-last buffer handed
+    back as an NCHW view.
     """
     x = _as_tensor(x)
     kernels = _as_tensor(kernels)
@@ -228,20 +231,27 @@ def conv2d(x, kernels, bias=None, stride=2):
     ho = -(-H // stride)
     wo = -(-W // stride)
     win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
-    win = win[:, ::stride, ::stride]  # (B, ho, wo, ci, kh, kw)
+    win = win[:, ::stride, ::stride].transpose(0, 1, 2, 4, 5, 3)  # (B, ho, wo, kh, kw, ci)
     K = ci * kh * kw
     N = B * ho * wo
-    rows = np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(N, K)
-    del xp, win  # free the padded input before the GEMM, not at return
     wr = kernels.data.transpose(0, 2, 3, 1).reshape(co, K)  # (co, kh*kw*ci)
+    parents = (x, kernels) if bias is None else (x, kernels, bias)
+    # the backward needs every patch row for the kernel gradient; without a
+    # graph one block's rows at a time suffice, in one reused scratch buffer
+    record = _grad_enabled and any(_needs_grad(p) for p in parents)
+    images = max(1, _CONV_ROW_BLOCK // (ho * wo))
+    rows = np.empty((N if record else min(B, images) * ho * wo, K))
     out = np.empty((N, co))
-    for r in range(0, N, _CONV_ROW_BLOCK):
-        block = out[r : r + _CONV_ROW_BLOCK]
-        np.matmul(rows[r : r + _CONV_ROW_BLOCK], wr.T, out=block)
+    for b in range(0, B, images):
+        n = min(images, B - b)
+        r0, r1 = b * ho * wo, (b + n) * ho * wo
+        block_rows = rows[r0:r1] if record else rows[: r1 - r0]
+        np.copyto(block_rows.reshape(n, ho, wo, kh, kw, ci), win[b : b + n])
+        block = out[r0:r1]
+        np.matmul(block_rows, wr.T, out=block)
         if bias is not None:
             block += bias.data
     out = out.reshape(B, ho, wo, co).transpose(0, 3, 1, 2)
-    parents = (x, kernels) if bias is None else (x, kernels, bias)
 
     def backward(g):
         if squeeze:

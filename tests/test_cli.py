@@ -1,3 +1,5 @@
+import json
+import os
 import shutil
 from pathlib import Path
 
@@ -125,7 +127,15 @@ class TestTrainExtractEval:
         metrics = (run_dir / "metrics.csv").read_text().splitlines()
         assert metrics[0] == "epoch,g_loss,d_loss,train_acc"
         assert len(metrics) == 2
-        assert (run_dir / "run_manifest.json").exists()
+        manifest = json.loads((run_dir / "run_manifest.json").read_text())
+        assert set(manifest["platform"]) == {
+            "python", "numpy", "blas", "blas_version",
+            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "cpus",
+        }
+        assert manifest["platform"]["numpy"] == np.__version__
+        assert manifest["platform"]["cpus"] >= 1
+        for var in cli.BLAS_THREAD_VARS:  # null when unset
+            assert manifest["platform"][var] == os.environ.get(var)
 
     def test_identical_invocations_identical_checkpoints(self, dataset_dir, tmp_path):
         sums = []

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,10 +17,47 @@ from mdrnet.engine import (
 from conftest import linear_readout, naive_conv2d, naive_conv2d_backward
 
 
+SPECIAL_VALUES = np.array([
+    0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1.0, -1.0, 36.7, -36.7, 709.0, -709.0,
+    746.0, -746.0, 1e308, -1e308, np.finfo(float).tiny, -np.finfo(float).tiny, 5e-324, -5e-324,
+])
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 class TestPointwise:
     def test_leaky_rectifier_slope(self):
         out = engine.leaky_rectifier(Tensor([-1.0, 0.0, 2.0]), 0.2)
         assert np.allclose(out.data, [-0.2, 0.0, 2.0])
+
+    @pytest.mark.parametrize("slope", [0.2, 0.5, 1.0, 1e-300])
+    def test_leaky_rectifier_matches_masked_select_bit_for_bit(self, rng, slope):
+        x = np.concatenate([SPECIAL_VALUES, rng.normal(scale=10, size=1000)])
+        with np.errstate(all="ignore"):
+            want = np.where(x >= 0, x, slope * x)
+            assert same_bits(engine.leaky_rectifier(Tensor(x), slope).data, want)
+
+    @pytest.mark.parametrize("slope", [0.0, -0.2, 1.5, np.nan])
+    def test_leaky_rectifier_slope_out_of_range(self, slope):
+        # max(a, slope*a) is the masked select only for 0 < slope <= 1
+        # (at slope 0, +inf would give nan)
+        with pytest.raises(EngineError):
+            engine.leaky_rectifier(Tensor([1.0]), slope)
+
+    def test_logistic_matches_boolean_mask_split_bit_for_bit(self, rng):
+        def masked_logistic(x):
+            out = np.empty_like(x)
+            pos = x >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+            ex = np.exp(x[~pos])
+            out[~pos] = ex / (1.0 + ex)
+            return out
+
+        x = np.concatenate([SPECIAL_VALUES, rng.normal(scale=20, size=1000)]).reshape(4, 5, -1)
+        with np.errstate(all="ignore"):
+            assert same_bits(engine._logistic(x), masked_logistic(x))
 
     def test_pointwise_gradients_match_finite_differences(self, rng):
         weight = Tensor(rng.normal(size=(1, 100)))
@@ -154,6 +193,38 @@ class TestConv2d:
         assert shapes == [(32, 15, 15), (64, 8, 8), (128, 4, 4), (256, 2, 2)]
         for out in outputs:
             assert out.data.transpose(0, 2, 3, 1).flags.c_contiguous
+
+    @pytest.mark.parametrize("x_shape, w_shape, stride", [
+        ((40, 2, 30, 30), (3, 2, 4, 4), 2),  # 225 rows per image: blocks of 18, 18 and 4 images
+        ((2, 30, 30), (3, 2, 4, 4), 2),  # unbatched
+        ((10, 2, 30, 30), (3, 2, 3, 3), 1),  # 900 rows per image: four images per block
+    ])
+    def test_same_bits_with_and_without_a_graph(self, rng, x_shape, w_shape, stride):
+        """Recording keeps every patch row for the backward; without a graph
+        the row blocks share one scratch buffer. The output bits agree."""
+        x, w, b = (rng.normal(size=s) for s in (x_shape, w_shape, w_shape[:1]))
+        recorded = engine.conv2d(Tensor(x, requires_grad=True), Tensor(w), Tensor(b), stride=stride)
+        assert recorded._backward is not None
+        with engine.no_grad():
+            streamed = engine.conv2d(Tensor(x, requires_grad=True), Tensor(w), Tensor(b), stride=stride)
+        assert streamed._backward is None
+        assert same_bits(recorded.data, streamed.data)
+        want = naive_conv2d(x.reshape(-1, *x_shape[-3:]), w, b, stride).reshape(streamed.shape)
+        assert np.allclose(streamed.data, want, rtol=0, atol=1e-12)
+
+    def test_forward_only_encoder_never_holds_a_whole_patch_matrix(self, rng):
+        """576 slices, one 64-shape extract batch: enc1's full patch matrix
+        alone would be 36,864 x 512 float64 (151 MB)."""
+        params = network.init_encoder(rng)
+        x = rng.uniform(size=(576, 1, 30, 30))
+        tracemalloc.start()
+        try:
+            with engine.no_grad():
+                network.encode_slice(params, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 150e6, f"traced peak {peak / 1e6:.0f} MB"
 
     def test_input_without_gradient_gets_none(self, rng):
         x = Tensor(rng.uniform(-1, 1, size=(2, 1, 6, 6)))

@@ -12,6 +12,10 @@ versions, then the first 8 hex digits of the SHA-256 of
   and seed 7, and what `Trainer.restore` of the 2-epoch checkpoint saves
   again, which must equal it (the only digest that covers restored Adam
   moments);
+- the DDSD bytes of `Trainer.extract` over one batch of 64 shapes
+  (`build_synthetic_dataset(SYNTHETIC_CLASSES, 16, 3)`, all splits, a
+  seed-7 `full` model): 576 slices per encoder conv, so `enc0`-`enc2`
+  each run several row blocks;
 - every file of the CLI recipe: `dataset-synth --per-class 8 --seed 3`,
   `train` (`mode = full`, `seed = 7`, `epochs = 1`, `batch_size = 8`),
   `extract` on the test split and with `--split all`, and
@@ -65,6 +69,14 @@ def checkpoint_digests():
         data = trainer.save()
         restored = short(training.Trainer.restore(data).save())
         print(f"checkpoint {mode:8s} epoch 0 {initial}  2 epochs {short(data)}  restored {restored}")
+
+
+def extract_digest():
+    dataset = voxel.build_synthetic_dataset(voxel.SYNTHETIC_CLASSES, 16, 3)
+    x, _, ids = training.prepare_inputs(dataset.shapes, 3)
+    trainer = training.Trainer(training.TrainConfig(mode="full", seed=7), len(dataset.classes))
+    vecs = trainer.extract(x)
+    print(f"extract  {len(ids)} shapes in one batch {short(network.save_descriptors(ids, vecs))}")
 
 
 def run(argv):
@@ -128,6 +140,7 @@ def recipe_digests(root):
 def main():
     print(f"numpy {np.__version__}; blas {blas_version()}")
     checkpoint_digests()
+    extract_digest()
     with tempfile.TemporaryDirectory() as tmp:
         recipe_digests(Path(tmp))
         descriptor_eval_digests(Path(tmp))
