@@ -209,9 +209,10 @@ def conv2d(x, kernels, bias=None, stride=2):
     output. The rows are gathered and multiplied one block of whole
     images at a time, and kept only when a graph records: the kernel
     gradient needs them. The backward reads the output gradient as the
-    same rows, forms the kernel gradient from them and the patch rows,
-    and scatters the input gradient into a channels-last buffer handed
-    back as an NCHW view.
+    same rows and forms the kernel gradient from them and the patch rows.
+    It forms the input gradient's patch rows one block of whole images at
+    a time, in one scratch buffer, and scatters each block into a
+    channels-last buffer handed back as an NCHW view.
     """
     x = _as_tensor(x)
     kernels = _as_tensor(kernels)
@@ -263,14 +264,20 @@ def conv2d(x, kernels, bias=None, stride=2):
         if bias is not None and _needs_grad(bias):
             bias.accumulate(gr.sum(axis=0))
         if _needs_grad(x):
-            # col2im channels-last: each tap slab is a run of whole channel rows
-            dcols = (gr @ wr).reshape(B, ho, wo, kh, kw, ci)
+            # col2im channels-last, one block of whole images at a time through
+            # one scratch dcols: each tap slab is a run of whole channel rows
             dxp = np.zeros((B, Hp, Wp, ci))
-            for i in range(kh):
-                for j in range(kw):
-                    dxp[:, i : i + stride * ho : stride, j : j + stride * wo : stride] += (
-                        dcols[:, :, :, i, j]
-                    )
+            dcols = np.empty((min(B, images), ho, wo, kh, kw, ci))
+            for b in range(0, B, images):
+                n = min(images, B - b)
+                r0, r1 = b * ho * wo, (b + n) * ho * wo
+                np.matmul(gr[r0:r1], wr, out=dcols[:n].reshape(r1 - r0, K))
+                dst = dxp[b : b + n]
+                for i in range(kh):
+                    for j in range(kw):
+                        dst[:, i : i + stride * ho : stride, j : j + stride * wo : stride] += (
+                            dcols[:n, :, :, i, j]
+                        )
             del gr, dcols
             dx = dxp[:, pl_h : Hp - ph_h or None, pl_w : Wp - ph_w or None].transpose(0, 3, 1, 2)
             x.accumulate(dx[0] if squeeze else dx)
@@ -301,6 +308,11 @@ def fully_connected(x, weight, bias):
     return _make(out[0] if squeeze else out, (x, weight, bias), backward)
 
 
+# _unroll and _fold walk the stacked kernels this many (gate, output
+# channel) rows at a time: a block's taps and dense rows fit in cache
+_UNROLL_BLOCK = 32
+
+
 def _conv_taps(h, w, kh, kw):
     """(P, P) kernel tap linking input cell q (row) to output cell p (column).
 
@@ -315,28 +327,44 @@ def _conv_taps(h, w, kh, kw):
 
 
 def _unroll(kernels, taps):
-    """G (O, C, kh, kw) kernels, stacked, as one dense (C*P, P*G*O) matrix.
+    """G (O, C, kh, kw) kernels, stacked, as one dense (P*G*O, C*P) matrix.
 
-    Rows are (c, q) and columns (p, gate, o): a channel-first input row
-    times the matrix gives all G stride-1 "same" convs, channels-last.
+    Rows are (p, gate, o) and columns (c, q): a channel-first input row
+    times the matrix's transpose gives all G stride-1 "same" convs,
+    channels-last. The rows are gathered _UNROLL_BLOCK kernel rows at a
+    time, so the padded tap table of a block stays in cache.
     """
     g, o, c, kh, kw = kernels.shape
-    table = np.zeros((c, kh * kw + 1, g * o))  # the last tap stays zero
-    table[:, :-1] = kernels.transpose(2, 3, 4, 0, 1).reshape(c, kh * kw, g * o)
-    return np.take(table, taps, axis=1).reshape(c * len(taps), -1)
+    p = len(taps)
+    flat = kernels.reshape(g * o, c, kh * kw)
+    dense = np.empty((p, g * o, c, p))
+    table = np.zeros((min(_UNROLL_BLOCK, g * o), c, kh * kw + 1))  # the last tap stays zero
+    for r in range(0, g * o, _UNROLL_BLOCK):
+        n = min(_UNROLL_BLOCK, g * o - r)
+        table[:n, :, :-1] = flat[r : r + n]
+        for j in range(p):  # output cell j reads input cell q through tap taps[q, j]
+            # every tap is in range; mode "raise" would copy through a buffer
+            np.take(table[:n], taps[:, j], axis=2, out=dense[j, r : r + n], mode="clip")
+    return dense.reshape(p * g * o, c * p)
 
 
 def _fold(dense, taps, shape):
-    """Adjoint of _unroll: the (G, O, C, kh, kw) kernel gradient of a dense one."""
+    """Adjoint of _unroll: the (G, O, C, kh, kw) kernel gradient of a dense one.
+
+    Each tap sums its (q, p) cell pairs in row-major order, starting from
+    zero, one block of _UNROLL_BLOCK kernel rows at a time.
+    """
     g, o, c, kh, kw = shape
     p = len(taps)
-    blocks = dense.reshape(c, p, p, -1)
-    table = np.zeros((c, kh * kw + 1, blocks.shape[-1]))
-    for q in range(p):
-        for r in range(p):
-            table[:, taps[q, r]] += blocks[:, q, r]
+    blocks = dense.reshape(p, g * o, c, p)
+    pairs = [(q, j, taps[q, j]) for q in range(p) for j in range(p) if taps[q, j] < kh * kw]
     # C order, as the optimizer's moments are: mixed layouts slow Adam down
-    return np.ascontiguousarray(table[:, :-1].reshape(c, kh, kw, g, o).transpose(3, 4, 0, 1, 2))
+    grad = np.zeros((g * o, c, kh * kw))
+    for r in range(0, g * o, _UNROLL_BLOCK):
+        block = grad[r : r + _UNROLL_BLOCK]
+        for q, j, t in pairs:
+            block[:, :, t] += blocks[j, r : r + _UNROLL_BLOCK, :, q]
+    return grad.reshape(shape)
 
 
 def convlstm(x, w_x, w_h, w_c, b, h0=None, c0=None):
@@ -355,7 +383,7 @@ def convlstm(x, w_x, w_h, w_c, b, h0=None, c0=None):
     from (B, C, H, W) start states h0 and c0; None starts from zeros.
 
     On a small state map of P = H*W cells each conv is a dense map, so
-    the kernels are unrolled into two (C*P, 4*C*P) matrices on every
+    the kernels are unrolled into two (4*C*P, C*P) matrices on every
     call and never stored. The input projection of all B*T steps is one
     GEMM, each step adds one recurrent GEMM and the gate arithmetic, and
     the backward forms each weight gradient with one GEMM over all steps.
@@ -387,7 +415,7 @@ def convlstm(x, w_x, w_h, w_c, b, h0=None, c0=None):
     peep = w_c.data.reshape(3, C, P).transpose(0, 2, 1)
     xs = np.ascontiguousarray(x.data.transpose(1, 0, 2, 3, 4)).reshape(T * B, C * P)
     # time-major pre-activations; each step overwrites its own with the gates
-    z = (xs @ wx).reshape(T, B, P, 4, C)
+    z = (xs @ wx.T).reshape(T, B, P, 4, C)
     z += b.data
     h = None if h0 is None else channels_last(h0.data)
     c = np.zeros((B, P, C)) if c0 is None else channels_last(c0.data)
@@ -399,7 +427,7 @@ def convlstm(x, w_x, w_h, w_c, b, h0=None, c0=None):
         zt = z[t]
         if h is not None:
             h_row = channels_first(h)
-            zt += (h_row @ wh).reshape(B, P, 4, C)
+            zt += (h_row @ wh.T).reshape(B, P, 4, C)
             if record:
                 h_rows[t] = h_row
         i = _logistic(zt[:, :, 0] + peep[0] * c)
@@ -434,16 +462,16 @@ def convlstm(x, w_x, w_h, w_c, b, h0=None, c0=None):
             dpeep[2] += (dzo * c_t).sum(axis=0)
             dc = dc * f + dzi * peep[0] + dzf * peep[1]
             if t >= first:
-                dh = channels_last((dz[t].reshape(B, -1) @ wh.T).reshape(B, C, H, W))
+                dh = channels_last((dz[t].reshape(B, -1) @ wh).reshape(B, C, H, W))
         dz_rows = dz.reshape(T * B, -1)
         if _needs_grad(w_x):
-            w_x.accumulate(_fold(xs.T @ dz_rows, taps, w_x.shape))
+            w_x.accumulate(_fold(dz_rows.T @ xs, taps, w_x.shape))
         if _needs_grad(w_h):
             s = 0 if h0 is not None else 1  # without h0 the first step has no h
-            dense = h_rows[s:].reshape(-1, C * P).T @ dz[s:].reshape(-1, 4 * C * P)
+            dense = dz[s:].reshape(-1, 4 * C * P).T @ h_rows[s:].reshape(-1, C * P)
             w_h.accumulate(_fold(dense, taps, w_h.shape))
         if _needs_grad(x):
-            dx = (dz_rows @ wx.T).reshape(T, B, C, H, W)
+            dx = (dz_rows @ wx).reshape(T, B, C, H, W)
             x.accumulate(dx.transpose(1, 0, 2, 3, 4))
         if _needs_grad(b):
             b.accumulate(dz.sum(axis=(0, 1, 2)))
@@ -502,6 +530,9 @@ def softmax_cross_entropy(logits, targets):
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# adam_step updates this many cells of a parameter at a time: each block's
+# four arrays and two scratch rows stay in cache between its operations
+_ADAM_BLOCK = 2**15
 
 
 @dataclass
@@ -523,37 +554,46 @@ class AdamState:
 def adam_step(params, grads, state, lr):
     """One bias-corrected Adam update, in place on `params`' data arrays.
 
-    Raises NonFiniteGradient (before touching any parameter) if any
-    gradient cell is NaN or inf.
+    Parameters and moments must be C-contiguous. Raises EngineError if
+    one is not, and NonFiniteGradient if any gradient cell is NaN or inf,
+    both before touching any parameter.
     """
     if lr <= 0:
         raise EngineError("adam_step requires lr > 0")
-    for g in grads:
-        if g is not None and not np.isfinite(g).all():
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        if g is None:
+            continue
+        if not all(a.flags.c_contiguous for a in (p.data, m, v)):
+            raise EngineError("adam_step requires C-contiguous parameters and moments")
+        if not np.isfinite(g).all():
             raise NonFiniteGradient("non-finite gradient cells; step aborted")
     state.t += 1
     b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     c1 = 1.0 - b1**state.t
     c2 = 1.0 - b2**state.t
+    # p -= lr * (m / c1) / (sqrt(v / c2) + eps), in the same operation order
+    # and so with the same bits, one cache-sized block of cells at a time
+    # through two scratch buffers
+    scratch = np.empty((2, _ADAM_BLOCK))
     for p, g, m, v in zip(params, grads, state.m, state.v):
         if g is None:
             continue
-        # p -= lr * (m / c1) / (sqrt(v / c2) + eps), in the same operation
-        # order and so with the same bits, through two scratch buffers
-        num, den = np.empty_like(m), np.empty_like(v)
-        m *= b1
-        m += np.multiply(g, 1.0 - b1, out=num)
-        v *= b2
-        np.multiply(g, g, out=den)
-        v += np.multiply(den, 1.0 - b2, out=den)
-        np.divide(m, c1, out=num)
-        num *= lr
-        np.divide(v, c2, out=den)
-        np.sqrt(den, out=den)
-        den += eps
-        num /= den
-        p.data -= num
-        del num, den  # freed before the next parameter's are allocated
+        flat = [a.reshape(-1) for a in (p.data, g, m, v)]  # views; a strided g is copied
+        for s in range(0, flat[0].size, _ADAM_BLOCK):
+            pb, gb, mb, vb = (a[s : s + _ADAM_BLOCK] for a in flat)
+            num, den = scratch[:, : pb.size]
+            mb *= b1
+            mb += np.multiply(gb, 1.0 - b1, out=num)
+            vb *= b2
+            np.multiply(gb, gb, out=den)
+            vb += np.multiply(den, 1.0 - b2, out=den)
+            np.divide(mb, c1, out=num)
+            num *= lr
+            np.divide(vb, c2, out=den)
+            np.sqrt(den, out=den)
+            den += eps
+            num /= den
+            pb -= num
 
 
 class Adam:

@@ -11,7 +11,7 @@ shape descriptor (the paper's 3D-DDSD); the hidden state only feeds the
 recurrence. On the 2x2 state map each 3x3 "same" gate conv is exactly a
 dense map, so the recurrence runs as dense gate GEMMs
 (`engine.convlstm`): the four input kernels and the four recurrent
-kernels are unrolled into two (1024, 4096) matrices on every forward,
+kernels are unrolled into two (4096, 1024) matrices on every forward,
 the input projection of all B*3k slices is one GEMM, and each step adds
 one recurrent GEMM and the gate arithmetic. The matrices are derived
 from the four stored ConvLSTM tensors (gate-stacked input kernels,

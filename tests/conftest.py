@@ -53,6 +53,40 @@ def naive_conv2d_backward(x, w, g, stride):
     return dx, dw, g.sum(axis=(0, 2, 3))
 
 
+def _tap_pairs(h, w, kh, kw):
+    """(q, p, u, v) for every input cell q, output cell p (both row-major on
+    an h x w map) and tap (u, v) of a stride-1 "same" kernel linking them."""
+    pl_h, pl_w = engine.same_ceil_padding(h, kh, 1)[0], engine.same_ceil_padding(w, kw, 1)[0]
+    for q in range(h * w):
+        for p in range(h * w):
+            u = q // w - p // w + pl_h
+            v = q % w - p % w + pl_w
+            if 0 <= u < kh and 0 <= v < kw:
+                yield q, p, u, v
+
+
+def loop_unroll(kernels, h, w):
+    """Per-tap loop of `engine._unroll`: (P*G*O, C*P) rows (p, gate, o), columns (c, q)."""
+    g, o, c, kh, kw = kernels.shape
+    P = h * w
+    dense = np.zeros((P, g, o, c, P))
+    for q, p, u, v in _tap_pairs(h, w, kh, kw):
+        dense[p, :, :, :, q] = kernels[:, :, :, u, v]
+    return dense.reshape(P * g * o, c * P)
+
+
+def loop_fold(dense, h, w, shape):
+    """Per-tap loop of `engine._fold`: each tap sums its (q, p) pairs in
+    row-major order, starting from zero."""
+    g, o, c, kh, kw = shape
+    P = h * w
+    blocks = dense.reshape(P, g, o, c, P)
+    grad = np.zeros(shape)
+    for q, p, u, v in _tap_pairs(h, w, kh, kw):
+        grad[:, :, :, u, v] += blocks[p, :, :, :, q]
+    return grad
+
+
 def linear_readout(out, weight):
     """Fixed linear scalar readout of `out`: a (1, out.size) weight, zero bias."""
     return engine.fully_connected(engine.reshape(out, (1, -1)), weight, Tensor(np.zeros(1)))

@@ -14,7 +14,7 @@ from mdrnet.engine import (
     grad_check,
 )
 
-from conftest import linear_readout, naive_conv2d, naive_conv2d_backward
+from conftest import linear_readout, loop_fold, loop_unroll, naive_conv2d, naive_conv2d_backward
 
 
 SPECIAL_VALUES = np.array([
@@ -138,6 +138,7 @@ class TestConv2d:
     @pytest.mark.parametrize("x_shape, w_shape, stride", [
         ((2, 3, 9, 7), (5, 3, 4, 4), 2),  # asymmetric ceil padding on both axes
         ((2, 3, 5, 6), (4, 3, 3, 3), 1),
+        ((40, 2, 30, 30), (3, 2, 4, 4), 2),  # 225 rows per image: three image blocks
     ])
     def test_gradients_match_loop_adjoint(self, rng, x_shape, w_shape, stride):
         x, w, b = (Tensor(rng.normal(size=s), requires_grad=True)
@@ -226,6 +227,21 @@ class TestConv2d:
             tracemalloc.stop()
         assert peak < 150e6, f"traced peak {peak / 1e6:.0f} MB"
 
+    def test_encoder_backward_never_holds_a_whole_input_gradient_matrix(self, rng):
+        """288 slices, one B=32, k=3 training batch: enc1's whole input
+        gradient matrix alone would be 18,432 x 512 float64 (75 MB)."""
+        params = network.init_encoder(rng)
+        out = network.encode_slice(params, rng.uniform(size=(288, 1, 30, 30)))
+        loss = linear_readout(out, Tensor(rng.normal(size=(1, out.size))))
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            loss.backward()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 120e6, f"traced peak {(peak - start) / 1e6:.0f} MB"
+
     def test_input_without_gradient_gets_none(self, rng):
         x = Tensor(rng.uniform(-1, 1, size=(2, 1, 6, 6)))
         w = Tensor(rng.uniform(-1, 1, size=(3, 1, 4, 4)), requires_grad=True)
@@ -233,6 +249,41 @@ class TestConv2d:
         engine.softmax_cross_entropy(engine.reshape(out, (2, -1)), np.array([0, 4])).backward()
         assert x.grad is None
         assert w.grad is not None and w.grad.any()
+
+
+class TestUnrollFold:
+    """The ConvLSTM's dense gate matrices against per-tap loops, on 36
+    kernel rows: one full block of 32 and a tail of 4."""
+
+    MAPS = [(1, 1), (2, 2), (2, 3), (3, 3), (4, 4)]  # from 3 cells across, a 3x3 kernel misses some pairs
+
+    @pytest.mark.parametrize("h, w", MAPS)
+    @pytest.mark.parametrize("k", [3, 1])
+    def test_unroll_matches_per_tap_loop(self, rng, h, w, k):
+        kernels = rng.normal(size=(4, 9, 2, k, k))
+        kernels[1, 2, 1, k - 1, 0] = -0.0
+        got = engine._unroll(kernels, engine._conv_taps(h, w, k, k))
+        assert same_bits(got, loop_unroll(kernels, h, w))
+
+    @pytest.mark.parametrize("h, w", MAPS)
+    @pytest.mark.parametrize("k", [3, 1])
+    def test_fold_matches_per_tap_loop(self, rng, h, w, k):
+        shape = (4, 9, 2, k, k)
+        dense = rng.normal(size=(h * w * 36, 2 * h * w))
+        dense[0, 0] = -0.0  # a tap's sum starts from +0.0, so this adds to +0.0
+        got = engine._fold(dense, engine._conv_taps(h, w, k, k), shape)
+        assert same_bits(got, loop_fold(dense, h, w, shape))
+        assert got.flags.c_contiguous  # as Adam's moments are
+
+    @pytest.mark.parametrize("h, w", MAPS)
+    @pytest.mark.parametrize("k", [3, 1])
+    def test_fold_is_the_adjoint_of_unroll(self, rng, h, w, k):
+        kernels = rng.normal(size=(4, 9, 2, k, k))
+        dense = rng.normal(size=(h * w * 36, 2 * h * w))
+        taps = engine._conv_taps(h, w, k, k)
+        lhs = np.vdot(engine._fold(dense, taps, kernels.shape), kernels)
+        rhs = np.vdot(dense, engine._unroll(kernels, taps))
+        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
 
 class TestRmsNormalize:
@@ -356,6 +407,15 @@ class TestAdam:
         assert np.array_equal(p.data, np.ones(2))
         assert state.t == 0  # aborted before any state mutation
 
+    def test_strided_parameter_aborts(self):
+        """The update runs on flat views, which a strided parameter has not."""
+        p = Tensor(np.ones((3, 2)).T, requires_grad=True)
+        state = AdamState.for_params([p])
+        with pytest.raises(EngineError, match="C-contiguous"):
+            adam_step([p], [np.ones((2, 3))], state, 0.1)
+        assert np.array_equal(p.data, np.ones((2, 3)))
+        assert state.t == 0
+
     def test_step_is_pure_in_inputs(self, rng):
         g = rng.normal(size=(3,))
         results = []
@@ -370,7 +430,7 @@ class TestAdam:
     def test_in_place_update_matches_expression(self, rng):
         """Five steps give the bits of the plain-expression update."""
         b1, b2, eps = engine.ADAM_BETA1, engine.ADAM_BETA2, engine.ADAM_EPS
-        shapes = [(3, 4), (5,)]
+        shapes = [(3, 4), (5,), (2**15 + 5,)]  # the last: one full block and a tail
         steps = [[rng.normal(size=s) * 10.0 ** rng.integers(-6, 3, size=s) for s in shapes]
                  for _ in range(5)]
         # parameters start at zero so that no update's low bits are rounded away
