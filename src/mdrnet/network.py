@@ -127,17 +127,18 @@ def init_mlp(rng, sizes):
 
 
 # ---------------------------------------------------------------------------
-# forward passes (all accept a leading batch axis)
+# forward passes (each takes a leading batch axis)
 
 
 def encode_slice(params: SliceEncoderParams, slice_input):
-    """Shared conv stack over (B, 1, H, W) or (1, H, W) slices.
+    """Shared conv stack over a (B, 1, H, W) batch of slices, an array or
+    Tensor; returns the (B, 256, h, w) feature maps, 2x2 for 30x30 slices.
 
     Each slice's (C, h, w) output is scaled to unit root-mean-square, so
     the ConvLSTM sees the same input scale however large the conv
     weights grow; an all-zero feature map stays zero.
     """
-    x = slice_input if isinstance(slice_input, Tensor) else Tensor(slice_input)
+    x = slice_input
     for w, b in params.layers:
         x = engine.conv2d(x, w, b, stride=ENCODER_STRIDE)
         x = engine.leaky_rectifier(x, LEAKY_SLOPE)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import engine, network
-from .engine import Adam, Tensor
+from .engine import Adam
 from .mdr import compute_mdr, normalize_mdr
 from .network import DESCRIPTOR_DIM, LSTM_CHANNELS, LSTM_SPATIAL, NetworkError, SliceEncoderParams
 from .voxel import DatasetError
@@ -158,7 +158,7 @@ class Model:
         if batch.ndim != 4 or batch.shape[1] % 3:
             raise NetworkError(f"expected (B, 3k, H, W) slice stacks, got {batch.shape}")
         b, t, hh, ww = batch.shape
-        feats = network.encode_slice(self.encoder, Tensor(batch.reshape(b * t, 1, hh, ww)))
+        feats = network.encode_slice(self.encoder, batch.reshape(b * t, 1, hh, ww))
         _, ch, fh, fw = feats.shape
         if (ch, fh, fw) != (LSTM_CHANNELS, LSTM_SPATIAL, LSTM_SPATIAL):
             raise NetworkError(
@@ -172,12 +172,13 @@ class Model:
         return engine.mean_axis(flat, axis=1)
 
     def head_logits(self, latent):
-        """Logits of the head: N+1 in adversarial modes (the extra class
-        marks a descriptor as too ambiguous to label), N otherwise."""
-        x = latent if isinstance(latent, Tensor) else Tensor(latent)
+        """(B, 1024) latents, an array or Tensor -> (B, N+1) logits in
+        adversarial modes (the extra class marks a descriptor as too
+        ambiguous to label), (B, N) otherwise."""
+        x = latent
         fan_in = self.head[0][0].shape[1]
-        if x.shape[-1] != fan_in:
-            raise NetworkError(f"latent width {x.shape[-1]} != head fan-in {fan_in}")
+        if x.ndim != 2 or x.shape[1] != fan_in:
+            raise NetworkError(f"expected (B, {fan_in}) latents, got {x.shape}")
         last = len(self.head) - 1
         for i, (w, b) in enumerate(self.head):
             x = engine.fully_connected(x, w, b)
@@ -272,7 +273,7 @@ class Trainer:
             raise TrainingError("empty batch")
         self._latent = None
         z = self.model.latent(x_batch)
-        logits = self.model.head_logits(Tensor(z.data))  # detached: the loss reaches only the head
+        logits = self.model.head_logits(z.data)  # the bare array: the loss reaches only the head
         targets = np.full(len(x_batch), self.model.n_classes, dtype=np.int64)
         loss = engine.softmax_cross_entropy(logits, targets)
         self.opt_head.zero_grad()

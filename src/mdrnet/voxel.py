@@ -1,8 +1,9 @@
 """Binary voxel occupancy grids: binvox I/O, synthetic shapes, datasets.
 
 Cell ordering follows the binvox convention: x-major with y fastest,
-flat index = x*dy*dz + z*dy + y. Other modules address cells as
-(x, y, z) through VoxelGrid accessors, never through raw indices.
+flat index = x*dy*dz + z*dy + y. Only `VoxelGrid.from_array` and
+`VoxelGrid.to_array` know that order; other modules read cells as
+(x, y, z) through `to_array`, never through raw indices.
 """
 from __future__ import annotations
 
@@ -36,32 +37,29 @@ class VoxelGrid:
         dx, dy, dz = self.dims
         if dx <= 0 or dy <= 0 or dz <= 0:
             raise ValueError("grid dimensions must be positive")
-        occ = np.asarray(self.occupancy, dtype=np.uint8)
+        occ = np.asarray(self.occupancy)
         if occ.shape != (dx * dy * dz,):
             raise ValueError(
                 f"occupancy length {occ.shape} != dx*dy*dz = {dx * dy * dz}"
             )
+        # the raw values: a uint8 cast would wrap 256 to 0 and truncate 1.5 to 1
         if not np.isin(occ, (0, 1)).all():
             raise ValueError("occupancy cells must be 0 or 1")
-        object.__setattr__(self, "occupancy", occ)
+        occ = occ.astype(np.uint8)  # an owned copy, so the caller's array stays writable
         occ.setflags(write=False)
+        object.__setattr__(self, "occupancy", occ)
 
     @classmethod
     def from_array(cls, arr):
         """Build from a bool/int array indexed [x, y, z]."""
         arr = np.asarray(arr)
         dx, dy, dz = arr.shape
-        flat = np.ascontiguousarray(arr.transpose(0, 2, 1)).reshape(-1)
-        return cls((dx, dy, dz), flat.astype(np.uint8))
+        return cls((dx, dy, dz), arr.transpose(0, 2, 1).reshape(-1))
 
     def to_array(self):
         """Dense occupancy indexed [x, y, z]."""
         dx, dy, dz = self.dims
         return self.occupancy.reshape(dx, dz, dy).transpose(0, 2, 1)
-
-    def get(self, x, y, z):
-        dx, dy, dz = self.dims
-        return int(self.occupancy[x * dy * dz + z * dy + y])
 
     def __eq__(self, other):
         return (
@@ -89,10 +87,6 @@ class ShapeDataset:
 
     def subset(self, part):
         return [s for s in self.shapes if self.split[s.shape_id] == part]
-
-
-def count_occupied(grid):
-    return int(grid.occupancy.sum())
 
 
 # ---------------------------------------------------------------------------

@@ -62,8 +62,8 @@ def test_mdr_matches_scatter_oracle(report):
 def test_encoder_shape_chain(report):
     model = training.build_model("full", 4, seed=0)
     with engine.no_grad():
-        out = network.encode_slice(model.encoder, Tensor(np.zeros((1, 30, 30))))
-    report("encoder-shape-chain", out.shape == (256, 2, 2), f"30x30 -> {out.shape}")
+        out = network.encode_slice(model.encoder, Tensor(np.zeros((1, 1, 30, 30))))
+    report("encoder-shape-chain", out.shape == (1, 256, 2, 2), f"30x30 -> {out.shape}")
 
 
 def test_convlstm_against_scalar_reference(report):
@@ -134,7 +134,7 @@ def test_gradient_suite(report):
         check(
             f"conv2d_s{stride}",
             lambda ts, s=stride: engine.softmax_cross_entropy(
-                engine.reshape(engine.conv2d(ts[0], ts[1], ts[2], stride=s), (-1,)), 3
+                engine.reshape(engine.conv2d(ts[0], ts[1], ts[2], stride=s), (1, -1)), np.array([3])
             ),
             [
                 rng.uniform(-1, 1, size=(1, 2, hw, hw)),
@@ -146,18 +146,18 @@ def test_gradient_suite(report):
     check(
         "fully_connected",
         lambda ts: engine.softmax_cross_entropy(
-            engine.fully_connected(ts[0], ts[1], ts[2]), 1
+            engine.fully_connected(ts[0], ts[1], ts[2]), np.array([1])
         ),
-        [rng.normal(size=6), rng.normal(size=(4, 6)), rng.normal(size=4)],
+        [rng.normal(size=(1, 6)), rng.normal(size=(4, 6)), rng.normal(size=4)],
     )
     check(
         "softmax_cross_entropy",
-        lambda ts: engine.softmax_cross_entropy(ts[0], 2),
-        [rng.normal(size=5)],
+        lambda ts: engine.softmax_cross_entropy(ts[0], np.array([2])),
+        [rng.normal(size=(1, 5))],
     )
     check(
         "mean_axis",
-        lambda ts: engine.softmax_cross_entropy(engine.mean_axis(ts[0], axis=2), 0),
+        lambda ts: engine.softmax_cross_entropy(engine.mean_axis(ts[0], axis=2), np.array([0])),
         [rng.normal(size=(1, 3, 7))],
     )
 

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdrnet import engine, network
 from mdrnet.engine import (
@@ -72,8 +74,8 @@ class TestPointwise:
 class TestConv2d:
     def test_zero_input_zero_output(self, rng):
         w = Tensor(rng.normal(size=(32, 1, 4, 4)))
-        out = engine.conv2d(Tensor(np.zeros((1, 30, 30))), w, Tensor(np.zeros(32)))
-        assert out.shape == (32, 15, 15)
+        out = engine.conv2d(Tensor(np.zeros((1, 1, 30, 30))), w, Tensor(np.zeros(32)))
+        assert out.shape == (1, 32, 15, 15)
         assert not out.data.any()
 
     def test_identity_tap_shifts_delta(self):
@@ -131,7 +133,7 @@ class TestConv2d:
 
         def f(ts):
             out = engine.conv2d(ts[0], ts[1], ts[2], stride=2)
-            return engine.softmax_cross_entropy(engine.reshape(out, (-1,)), 5)
+            return engine.softmax_cross_entropy(engine.reshape(out, (1, -1)), np.array([5]))
 
         assert grad_check(f, [x, w, b], tolerance=1e-4).passed
 
@@ -197,7 +199,6 @@ class TestConv2d:
 
     @pytest.mark.parametrize("x_shape, w_shape, stride", [
         ((40, 2, 30, 30), (3, 2, 4, 4), 2),  # 225 rows per image: blocks of 18, 18 and 4 images
-        ((2, 30, 30), (3, 2, 4, 4), 2),  # unbatched
         ((10, 2, 30, 30), (3, 2, 3, 3), 1),  # 900 rows per image: four images per block
     ])
     def test_same_bits_with_and_without_a_graph(self, rng, x_shape, w_shape, stride):
@@ -210,8 +211,7 @@ class TestConv2d:
             streamed = engine.conv2d(Tensor(x, requires_grad=True), Tensor(w), Tensor(b), stride=stride)
         assert streamed._backward is None
         assert same_bits(recorded.data, streamed.data)
-        want = naive_conv2d(x.reshape(-1, *x_shape[-3:]), w, b, stride).reshape(streamed.shape)
-        assert np.allclose(streamed.data, want, rtol=0, atol=1e-12)
+        assert np.allclose(streamed.data, naive_conv2d(x, w, b, stride), rtol=0, atol=1e-12)
 
     def test_forward_only_encoder_never_holds_a_whole_patch_matrix(self, rng):
         """576 slices, one 64-shape extract batch: enc1's full patch matrix
@@ -242,6 +242,27 @@ class TestConv2d:
             tracemalloc.stop()
         assert peak - start < 120e6, f"traced peak {(peak - start) / 1e6:.0f} MB"
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_drawn_shapes_match_loop_oracles(self, data):
+        """Forward, dx, dw and db against the loop oracles, on drawn batch,
+        channel, map (H != W), kernel and stride sizes."""
+        b, ci, co = (data.draw(st.integers(1, n)) for n in (3, 4, 4))
+        h = data.draw(st.integers(1, 9))
+        w = data.draw(st.integers(1, 9).filter(lambda v: v != h))
+        kh, kw = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+        stride = data.draw(st.integers(1, 3))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        x, k, bias = (Tensor(rng.normal(size=s), requires_grad=True)
+                      for s in ((b, ci, h, w), (co, ci, kh, kw), (co,)))
+        out = engine.conv2d(x, k, bias, stride=stride)
+        assert np.allclose(out.data, naive_conv2d(x.data, k.data, bias.data, stride), rtol=0, atol=1e-12)
+        g = rng.normal(size=out.shape)
+        linear_readout(out, Tensor(g.reshape(1, -1))).backward()
+        for got, want in zip((x.grad, k.grad, bias.grad), naive_conv2d_backward(x.data, k.data, g, stride)):
+            assert got.shape == want.shape
+            assert np.allclose(got, want, rtol=0, atol=1e-12)
+
     def test_input_without_gradient_gets_none(self, rng):
         x = Tensor(rng.uniform(-1, 1, size=(2, 1, 6, 6)))
         w = Tensor(rng.uniform(-1, 1, size=(3, 1, 4, 4)), requires_grad=True)
@@ -249,6 +270,28 @@ class TestConv2d:
         engine.softmax_cross_entropy(engine.reshape(out, (2, -1)), np.array([0, 4])).backward()
         assert x.grad is None
         assert w.grad is not None and w.grad.any()
+
+
+def _other_call_forms():
+    """Every rank but the batched one, and targets that are not integers."""
+    kernels = np.ones((2, 1, 3, 3))
+    for shape in [(), (3,), (3, 3), (1, 3, 3), (1, 1, 1, 3, 3)]:
+        yield pytest.param(engine.conv2d, (np.ones(shape), kernels), id=f"conv2d-{shape}")
+    for shape in [(), (3,), (1, 1, 3)]:
+        yield pytest.param(engine.fully_connected, (np.ones(shape), np.ones((2, 3)), np.zeros(2)),
+                           id=f"fully_connected-{shape}")
+    for shape, targets in [((), 0), ((3,), 0), ((3,), [0]), ((1, 1, 3), [0]), ((2, 3), 0),
+                           ((2, 3), [[0, 1]]), ((2, 3), [0.9, 1.7]), ((2, 3), [0.0, 1.0])]:
+        yield pytest.param(engine.softmax_cross_entropy, (np.zeros(shape), np.array(targets)),
+                           id=f"softmax_cross_entropy-{shape}-{targets}")
+
+
+@pytest.mark.parametrize("op, args", _other_call_forms())
+def test_only_the_batched_form_is_accepted(op, args):
+    """conv2d takes (B, C, H, W), fully_connected (B, F) and
+    softmax_cross_entropy (B, C) logits with (B,) integer targets."""
+    with pytest.raises(EngineError):
+        op(*args)
 
 
 class TestUnrollFold:
@@ -315,45 +358,46 @@ class TestRmsNormalize:
 
 class TestFullyConnected:
     def test_identity_weight(self, rng):
-        x = rng.normal(size=5)
+        x = rng.normal(size=(2, 5))
         out = engine.fully_connected(Tensor(x), Tensor(np.eye(5)), Tensor(np.zeros(5)))
         assert np.allclose(out.data, x)
 
     def test_zero_weight_gives_bias(self, rng):
         b = rng.normal(size=4)
-        out = engine.fully_connected(Tensor(np.ones(6)), Tensor(np.zeros((4, 6))), Tensor(b))
+        out = engine.fully_connected(Tensor(np.ones((2, 6))), Tensor(np.zeros((4, 6))), Tensor(b))
+        assert out.shape == (2, 4)
         assert np.allclose(out.data, b)
 
     def test_matches_matvec_oracle(self, rng):
-        x, w, b = rng.normal(size=7), rng.normal(size=(3, 7)), rng.normal(size=3)
+        x, w, b = rng.normal(size=(2, 7)), rng.normal(size=(3, 7)), rng.normal(size=3)
         expected = np.array(
-            [sum(w[i, j] * x[j] for j in range(7)) + b[i] for i in range(3)]
+            [[sum(w[i, j] * x[r, j] for j in range(7)) + b[i] for i in range(3)] for r in range(2)]
         )
         out = engine.fully_connected(Tensor(x), Tensor(w), Tensor(b))
         assert np.allclose(out.data, expected)
 
     def test_width_mismatch(self):
         with pytest.raises(EngineError):
-            engine.fully_connected(Tensor(np.zeros(5)), Tensor(np.zeros((3, 6))), Tensor(np.zeros(3)))
+            engine.fully_connected(Tensor(np.zeros((1, 5))), Tensor(np.zeros((3, 6))), Tensor(np.zeros(3)))
 
 
 class TestSoftmaxCrossEntropy:
     def test_uniform_logits_loss_is_ln_c(self):
         for c in (2, 5, 41):
-            loss = engine.softmax_cross_entropy(Tensor(np.zeros(c)), 0)
+            loss = engine.softmax_cross_entropy(Tensor(np.zeros((1, c))), np.array([0]))
             assert loss.item() == pytest.approx(np.log(c))
 
     def test_gradient_at_uniform_logits(self):
-        logits = Tensor(np.zeros(4), requires_grad=True)
-        engine.softmax_cross_entropy(logits, 2).backward()
-        expected = np.full(4, 0.25)
-        expected[2] -= 1.0
+        logits = Tensor(np.zeros((1, 4)), requires_grad=True)
+        engine.softmax_cross_entropy(logits, np.array([2])).backward()
+        expected = np.full((1, 4), 0.25)
+        expected[0, 2] -= 1.0
         assert np.allclose(logits.grad, expected)
 
     def test_gradient_matches_finite_differences(self, rng):
-        logits = rng.normal(size=6)
+        logits = rng.normal(size=(1, 6))
         report = grad_check(
-            lambda ts: engine.softmax_cross_entropy(ts[0], 4), [logits], tolerance=1e-6
+            lambda ts: engine.softmax_cross_entropy(ts[0], np.array([4])), [logits], tolerance=1e-6
         )
         assert report.passed, report
 
@@ -362,12 +406,12 @@ class TestSoftmaxCrossEntropy:
         assert np.allclose(p.sum(axis=1), 1.0, atol=1e-12)
 
     def test_loss_nonnegative_and_stable(self):
-        loss = engine.softmax_cross_entropy(Tensor([1e4, -1e4]), 0)
+        loss = engine.softmax_cross_entropy(Tensor([[1e4, -1e4]]), np.array([0]))
         assert 0.0 <= loss.item() < 1e-6
 
     def test_target_out_of_range(self):
         with pytest.raises(EngineError):
-            engine.softmax_cross_entropy(Tensor(np.zeros(3)), 3)
+            engine.softmax_cross_entropy(Tensor(np.zeros((1, 3))), np.array([3]))
 
 
 class TestAdam:
@@ -462,8 +506,18 @@ class TestGradCheck:
 
         def f(ts):
             return engine.softmax_cross_entropy(
-                engine.fully_connected(ts[0], Tensor(w), Tensor(np.zeros(3))), 1
+                engine.fully_connected(ts[0], Tensor(w), Tensor(np.zeros(3))), np.array([1])
             )
 
-        report = grad_check(f, [rng.normal(size=5)])
+        report = grad_check(f, [rng.normal(size=(1, 5))])
         assert report.max_rel_error < 1e-7
+
+    def test_small_gradient_beside_a_large_value(self):
+        """d/dx (1e-6 x + 100) at x = 0.3: the backward is exact, so only the
+        numerical estimate's round-off on values near 100 can fail it."""
+
+        def f(ts):
+            return engine.fully_connected(engine.reshape(ts[0], (1, 1)), Tensor([[1e-6]]), Tensor([100.0]))
+
+        report = grad_check(f, [np.array(0.3)])
+        assert report.passed, report

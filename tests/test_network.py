@@ -34,21 +34,21 @@ class TestEncodeSlice:
     def test_zero_slice_zero_biases_gives_zero(self):
         model = build_model("full", 4, seed=0)
         with engine.no_grad():
-            out = encode_slice(model.encoder, Tensor(np.zeros((1, 30, 30))))
-        assert out.shape == (256, 2, 2)
+            out = encode_slice(model.encoder, Tensor(np.zeros((1, 1, 30, 30))))
+        assert out.shape == (1, 256, 2, 2)
         assert not out.data.any()
 
     def test_output_shape(self, rng):
         model = build_model("full", 4, seed=1)
         with engine.no_grad():
-            out = encode_slice(model.encoder, Tensor(rng.uniform(0, 1, (1, 30, 30))))
-        assert out.shape == (256, 2, 2)
+            out = encode_slice(model.encoder, Tensor(rng.uniform(0, 1, (1, 1, 30, 30))))
+        assert out.shape == (1, 256, 2, 2)
 
     def test_different_slices_differ(self, rng):
         model = build_model("full", 4, seed=2)
         for _ in range(3):
-            a = rng.uniform(0, 1, (1, 30, 30))
-            b = rng.uniform(0, 1, (1, 30, 30))
+            a = rng.uniform(0, 1, (1, 1, 30, 30))
+            b = rng.uniform(0, 1, (1, 1, 30, 30))
             with engine.no_grad():
                 fa = encode_slice(model.encoder, Tensor(a)).data
                 fb = encode_slice(model.encoder, Tensor(b)).data
@@ -57,7 +57,7 @@ class TestEncodeSlice:
     def test_wrong_shape_rejected(self):
         model = build_model("full", 4, seed=0)
         with pytest.raises(engine.EngineError):
-            encode_slice(model.encoder, Tensor(np.zeros((2, 30, 30))))
+            encode_slice(model.encoder, Tensor(np.zeros((1, 2, 30, 30))))
 
 
 class TestConvLstmStep:
@@ -212,8 +212,8 @@ class TestDiscriminate:
         for _, t in model.head_tensors():
             t.data = np.zeros_like(t.data)
         with engine.no_grad():
-            logits = model.head_logits(np.zeros(DESCRIPTOR_DIM))
-        assert logits.shape == (5,)
+            logits = model.head_logits(np.zeros((1, DESCRIPTOR_DIM)))
+        assert logits.shape == (1, 5)
         assert np.allclose(engine.softmax(logits.data), 0.2)
 
     def test_output_width_is_n_plus_one(self):
@@ -223,10 +223,10 @@ class TestDiscriminate:
 
     def test_matches_matvec_chain(self, rng):
         model = build_model("full", 4, seed=3)
-        x = rng.normal(size=DESCRIPTOR_DIM)
+        x = rng.normal(size=(2, DESCRIPTOR_DIM))
         expected = x
         for i, (w, b) in enumerate(model.head):
-            expected = w.data @ expected + b.data
+            expected = expected @ w.data.T + b.data
             if i < len(model.head) - 1:
                 expected = np.where(expected >= 0, expected, 0.2 * expected)
         with engine.no_grad():
@@ -235,8 +235,9 @@ class TestDiscriminate:
 
     def test_dimension_mismatch(self):
         model = build_model("full", 4, seed=0)
-        with pytest.raises(NetworkError):
-            model.head_logits(np.zeros(100))
+        for shape in [(1, 100), (DESCRIPTOR_DIM,), (1, 1, DESCRIPTOR_DIM)]:
+            with pytest.raises(NetworkError):
+                model.head_logits(np.zeros(shape))
 
 
 class TestInitParams:

@@ -11,7 +11,6 @@ from mdrnet.voxel import (
     BinvoxError,
     DatasetError,
     VoxelGrid,
-    count_occupied,
     generate_synthetic,
     load_binvox,
     save_binvox,
@@ -32,11 +31,11 @@ class TestLoadBinvox:
         pairs = [(0, 255)] * 105 + [(0, 225)]
         grid = load_binvox(encode(pairs))
         assert grid.dims == (30, 30, 30)
-        assert count_occupied(grid) == 0
+        assert int(grid.occupancy.sum()) == 0
 
     def test_leading_run_of_255(self):
         grid = load_binvox(encode([(1, 255)] + [(0, 255)] * 104 + [(0, 225)]))
-        assert count_occupied(grid) == 255
+        assert int(grid.occupancy.sum()) == 255
         assert grid.occupancy[:255].all() and not grid.occupancy[255:].any()
 
     def test_translate_scale_ignored(self):
@@ -44,7 +43,7 @@ class TestLoadBinvox:
             b"#binvox 1\ndim 2 2 2\ntranslate 1 2 3\nscale 0.5\ndata\n"
             + bytes([1, 8])
         )
-        assert count_occupied(load_binvox(data)) == 8
+        assert int(load_binvox(data).occupancy.sum()) == 8
 
     def test_bad_header(self):
         with pytest.raises(BinvoxError):
@@ -106,8 +105,29 @@ class TestCellOrdering:
         g = VoxelGrid.from_array(arr)
         # index = x*dy*dz + z*dy + y
         assert g.occupancy[1 * 4 * 5 + 3 * 4 + 2] == 1
-        assert g.get(1, 2, 3) == 1
+        assert g.to_array()[1, 2, 3] == 1
         assert np.array_equal(g.to_array(), arr)
+
+
+class TestGridValues:
+    @pytest.mark.parametrize("value", [256, 1.5, -255, 2, 0.5])
+    def test_cell_other_than_0_or_1_rejected(self, value):
+        """Checked before the uint8 cast, which would wrap 256 to 0 and
+        truncate 1.5 to 1."""
+        with pytest.raises(ValueError):
+            VoxelGrid((1, 1, 1), np.array([value]))
+        with pytest.raises(ValueError):
+            VoxelGrid.from_array(np.array([[[0, value]]]))
+
+    def test_callers_array_stays_writable_and_unshared(self):
+        occ = np.array([0, 1, 1, 0], dtype=np.uint8)
+        arr = occ.reshape(4, 1, 1)
+        for g in (VoxelGrid((4, 1, 1), occ), VoxelGrid.from_array(arr)):
+            assert not g.occupancy.flags.writeable
+            assert not np.shares_memory(g.occupancy, occ)
+        assert occ.flags.writeable
+        occ[0] = 1
+        assert g.occupancy[0] == 0
 
 
 class TestGenerateSynthetic:
@@ -125,7 +145,7 @@ class TestGenerateSynthetic:
             arr = g.to_array()
             xs, ys, zs = np.nonzero(arr)
             edges = [np.ptp(xs) + 1, np.ptp(ys) + 1, np.ptp(zs) + 1]
-            assert count_occupied(g) == edges[0] * edges[1] * edges[2]
+            assert int(g.occupancy.sum()) == edges[0] * edges[1] * edges[2]
             # the occupied region really is one solid cuboid
             assert arr[xs.min() : xs.max() + 1, ys.min() : ys.max() + 1, zs.min() : zs.max() + 1].all()
 
@@ -144,15 +164,15 @@ class TestGenerateSynthetic:
 
     def test_sphere_occupancy_plausible(self):
         g = generate_synthetic("sphere", 7)
-        n = count_occupied(g)
+        n = int(g.occupancy.sum())
         # solid ball of radius 6..11, possibly clipped by the grid
         assert 0 < n <= 4.0 / 3.0 * np.pi * 11.0**3
 
 
 class TestCountOccupied:
     def test_empty_and_full(self):
-        assert count_occupied(VoxelGrid((30, 30, 30), np.zeros(27000, dtype=np.uint8))) == 0
-        assert count_occupied(VoxelGrid((30, 30, 30), np.ones(27000, dtype=np.uint8))) == 27000
+        assert int(VoxelGrid((30, 30, 30), np.zeros(27000, dtype=np.uint8)).occupancy.sum()) == 0
+        assert int(VoxelGrid((30, 30, 30), np.ones(27000, dtype=np.uint8)).occupancy.sum()) == 27000
 
     def test_matches_triple_loop(self):
         g = random_grid(np.random.default_rng(3), dim=8)
@@ -160,8 +180,8 @@ class TestCountOccupied:
         for x in range(8):
             for y in range(8):
                 for z in range(8):
-                    total += g.get(x, y, z)
-        assert count_occupied(g) == total
+                    total += g.to_array()[x, y, z]
+        assert int(g.occupancy.sum()) == total
 
 
 class TestDataset:

@@ -53,11 +53,6 @@ def short(data):
     return hashlib.sha256(data).hexdigest()[:8]
 
 
-def blas_version():
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return f"{blas['name']} {blas['version']}"
-
-
 def checkpoint_digests():
     dataset = voxel.build_synthetic_dataset(voxel.SYNTHETIC_CLASSES, 8, 3)
     x, y, _ = training.prepare_inputs(dataset.shapes, 3)
@@ -138,7 +133,8 @@ def recipe_digests(root):
 
 
 def main():
-    print(f"numpy {np.__version__}; blas {blas_version()}")
+    build = cli.platform_record()
+    print(f"numpy {build['numpy']}; blas {build['blas']} {build['blas_version']}")
     checkpoint_digests()
     extract_digest()
     with tempfile.TemporaryDirectory() as tmp:
