@@ -6,6 +6,12 @@ rectifier, per-group RMS normalization, reshape, mean over an axis,
 fully-connected layers, a peephole ConvLSTM recurrence over small state
 maps and softmax cross-entropy; with them come Adam and a
 finite-difference gradient checker.
+
+A graph is consumed by its backward: the sweep drops each interior
+node's closure, parents and gradient as soon as that node has passed its
+gradient on, so the arrays a closure saved are freed while the sweep
+walks on. Leaves keep their `.grad`; a second `backward()` through a
+consumed graph is an EngineError.
 """
 from __future__ import annotations
 
@@ -69,13 +75,17 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def accumulate(self, g):
+        """Add `g` to the gradient. The first `g` is kept, not copied, so a
+        closure hands each parent a float64 array of its own: one it built,
+        or a view of one that only the consumed graph held."""
         if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64)
+            self.grad = g
         else:
             self.grad += g
 
     def backward(self):
-        """Reverse-mode sweep from this (scalar) tensor through the graph."""
+        """Reverse-mode sweep from this (scalar) tensor through the graph,
+        consuming it (see the module docstring)."""
         if self.data.size != 1:
             raise EngineError("backward() requires a scalar output")
         topo = []
@@ -94,9 +104,17 @@ class Tensor:
                 if id(p) not in visited:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        while topo:
+            node = topo.pop()  # children before parents; the list lets go of each
+            if node._backward is None:
+                continue  # a leaf
+            if node.grad is not None:
                 node._backward(node.grad)
+            node._backward, node._parents, node.grad = _consumed, (), None
+
+
+def _consumed(g):
+    raise EngineError("backward() through a graph that an earlier backward() consumed")
 
 
 def _as_tensor(x):
@@ -136,7 +154,11 @@ def leaky_rectifier(a, slope=0.2):
     np.maximum(a.data, out, out=out)
 
     def backward(g):
-        a.accumulate(np.where(a.data >= 0, g, slope * g))
+        # the same bits as np.where(a >= 0, g, slope * g) without its
+        # data-dependent branch: the factor is 1.0 or slope
+        d = np.maximum(a.data >= 0, slope)
+        d *= g
+        a.accumulate(d)
 
     return _make(out, (a,), backward)
 
@@ -171,7 +193,8 @@ def mean_axis(a, axis):
     n = a.shape[axis]
 
     def backward(g):
-        a.accumulate(np.broadcast_to(np.expand_dims(g, axis) / n, a.shape))
+        # a copy: the broadcast is a read-only view
+        a.accumulate(np.broadcast_to(np.expand_dims(g, axis) / n, a.shape).copy())
 
     return _make(a.data.mean(axis=axis), (a,), backward)
 
@@ -180,9 +203,10 @@ def mean_axis(a, axis):
 # layers
 
 
-# conv2d's forward gathers and multiplies at most this many patch rows at a
-# time, in blocks of whole images (at least one): one GEMM over all B*ho*wo
-# rows raised the training benchmarks' peak memory by 20 MB
+# conv2d gathers and multiplies at most this many patch rows at a time in
+# its forward and its input gradient, in blocks of whole images (at least
+# one): one GEMM over all B*ho*wo rows raised the training benchmarks'
+# peak memory by 20 MB
 _CONV_ROW_BLOCK = 4096
 
 
@@ -207,11 +231,12 @@ def conv2d(x, kernels, bias=None, stride=2):
     channels, and multiplied by the kernels in (kh, kw, C_in) order into
     a (B*ho*wo, C_out) buffer whose (B, C_out, ho, wo) view is the
     output. The rows are gathered and multiplied one block of whole
-    images at a time, and kept only when a graph records: the kernel
-    gradient needs them. The backward reads the output gradient as the
-    same rows and forms the kernel gradient from them and the patch rows.
-    It forms the input gradient's patch rows one block of whole images at
-    a time, in one scratch buffer, and scatters each block into a
+    images at a time, in one scratch buffer, with or without a graph.
+    A graph keeps the padded input, not the rows. The backward reads
+    the output gradient as the same rows, gathers every patch row once
+    for the kernel gradient's single GEMM and drops them before it forms
+    the input gradient. It forms that one block of whole images at a
+    time, in one scratch buffer, and scatters each block into a
     channels-last buffer handed back as an NCHW view.
     """
     x = _as_tensor(x)
@@ -235,16 +260,13 @@ def conv2d(x, kernels, bias=None, stride=2):
     N = B * ho * wo
     wr = kernels.data.transpose(0, 2, 3, 1).reshape(co, K)  # (co, kh*kw*ci)
     parents = (x, kernels) if bias is None else (x, kernels, bias)
-    # the backward needs every patch row for the kernel gradient; without a
-    # graph one block's rows at a time suffice, in one reused scratch buffer
-    record = _grad_enabled and any(_needs_grad(p) for p in parents)
     images = max(1, _CONV_ROW_BLOCK // (ho * wo))
-    rows = np.empty((N if record else min(B, images) * ho * wo, K))
+    rows = np.empty((min(B, images) * ho * wo, K))
     out = np.empty((N, co))
     for b in range(0, B, images):
         n = min(images, B - b)
         r0, r1 = b * ho * wo, (b + n) * ho * wo
-        block_rows = rows[r0:r1] if record else rows[: r1 - r0]
+        block_rows = rows[: r1 - r0]
         np.copyto(block_rows.reshape(n, ho, wo, kh, kw, ci), win[b : b + n])
         block = out[r0:r1]
         np.matmul(block_rows, wr.T, out=block)
@@ -255,7 +277,10 @@ def conv2d(x, kernels, bias=None, stride=2):
     def backward(g):
         gr = g.transpose(0, 2, 3, 1).reshape(N, co)  # a view when g is channels-last
         if _needs_grad(kernels):
+            rows = np.empty((N, K))
+            np.copyto(rows.reshape(B, ho, wo, kh, kw, ci), win)
             dw = (gr.T @ rows).reshape(co, kh, kw, ci)
+            del rows
             kernels.accumulate(np.ascontiguousarray(dw.transpose(0, 3, 1, 2)))
         if bias is not None and _needs_grad(bias):
             bias.accumulate(gr.sum(axis=0))

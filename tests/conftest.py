@@ -96,7 +96,7 @@ def add(a, b):
     """Graph sum of two same-shape Tensors."""
     def backward(g):
         a.accumulate(g)
-        b.accumulate(g)
+        b.accumulate(g.copy())  # each parent keeps the array it is handed
 
     return engine._make(a.data + b.data, (a, b), backward)
 

@@ -16,7 +16,7 @@ from mdrnet.engine import (
     grad_check,
 )
 
-from conftest import linear_readout, loop_fold, loop_unroll, naive_conv2d, naive_conv2d_backward
+from conftest import add, linear_readout, loop_fold, loop_unroll, naive_conv2d, naive_conv2d_backward
 
 
 SPECIAL_VALUES = np.array([
@@ -40,6 +40,16 @@ class TestPointwise:
         with np.errstate(all="ignore"):
             want = np.where(x >= 0, x, slope * x)
             assert same_bits(engine.leaky_rectifier(Tensor(x), slope).data, want)
+
+    @pytest.mark.parametrize("slope", [0.2, 0.5, 1.0, 1e-300])
+    def test_leaky_rectifier_backward_matches_masked_select_bit_for_bit(self, rng, slope):
+        """Every input sign, zero, infinity and NaN against every upstream one."""
+        a = np.concatenate([np.repeat(SPECIAL_VALUES, len(SPECIAL_VALUES)), rng.normal(size=1000)])
+        g = np.concatenate([np.tile(SPECIAL_VALUES, len(SPECIAL_VALUES)), rng.normal(size=1000)])
+        x = Tensor(a, requires_grad=True)
+        with np.errstate(all="ignore"):
+            engine.leaky_rectifier(x, slope)._backward(g)
+            assert same_bits(x.grad, np.where(a >= 0, g, slope * g))
 
     @pytest.mark.parametrize("slope", [0.0, -0.2, 1.5, np.nan])
     def test_leaky_rectifier_slope_out_of_range(self, slope):
@@ -202,8 +212,8 @@ class TestConv2d:
         ((10, 2, 30, 30), (3, 2, 3, 3), 1),  # 900 rows per image: four images per block
     ])
     def test_same_bits_with_and_without_a_graph(self, rng, x_shape, w_shape, stride):
-        """Recording keeps every patch row for the backward; without a graph
-        the row blocks share one scratch buffer. The output bits agree."""
+        """Recording keeps the padded input for the backward; with or without
+        a graph the row blocks share one scratch buffer. The output bits agree."""
         x, w, b = (rng.normal(size=s) for s in (x_shape, w_shape, w_shape[:1]))
         recorded = engine.conv2d(Tensor(x, requires_grad=True), Tensor(w), Tensor(b), stride=stride)
         assert recorded._backward is not None
@@ -226,6 +236,20 @@ class TestConv2d:
         finally:
             tracemalloc.stop()
         assert peak < 150e6, f"traced peak {peak / 1e6:.0f} MB"
+
+    def test_recorded_encoder_holds_padded_inputs_not_patch_rows(self, rng):
+        """288 slices, one B=32, k=3 training batch: enc1's patch rows alone
+        would be 18,432 x 512 float64 (75 MB), its padded input 24 MB."""
+        params = network.init_encoder(rng)
+        x = rng.uniform(size=(288, 1, 30, 30))
+        tracemalloc.start()
+        try:
+            out = network.encode_slice(params, x)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out._backward is not None
+        assert held < 150e6, f"traced {held / 1e6:.0f} MB"
 
     def test_encoder_backward_never_holds_a_whole_input_gradient_matrix(self, rng):
         """288 slices, one B=32, k=3 training batch: enc1's whole input
@@ -270,6 +294,45 @@ class TestConv2d:
         engine.softmax_cross_entropy(engine.reshape(out, (2, -1)), np.array([0, 4])).backward()
         assert x.grad is None
         assert w.grad is not None and w.grad.any()
+
+
+class TestGraphLifetime:
+    def test_backward_consumes_interior_nodes_and_leaves_keep_grads(self, rng):
+        x = Tensor(rng.normal(size=(2, 1, 6, 6)), requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 1, 4, 4)), requires_grad=True)
+        conv = engine.conv2d(x, w, None)
+        act = engine.leaky_rectifier(conv, 0.2)
+        loss = engine.softmax_cross_entropy(engine.reshape(act, (2, -1)), np.array([0, 4]))
+        loss.backward()
+        for node in (conv, act, loss):
+            assert node._parents == ()
+            assert node.grad is None
+            assert node._backward.__closure__ is None  # no saved array is left
+        assert x.grad.shape == x.shape and w.grad.shape == w.shape
+
+    def test_second_backward_raises(self, rng):
+        x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        loss = engine.softmax_cross_entropy(engine.leaky_rectifier(x, 0.2), np.array([0, 2]))
+        loss.backward()
+        first = x.grad.copy()
+        with pytest.raises(EngineError, match="consumed"):
+            loss.backward()
+        assert same_bits(x.grad, first)
+
+    @pytest.mark.parametrize("mean_first", [False, True])
+    def test_tensor_read_by_two_ops_gets_the_summed_gradient(self, rng, mean_first):
+        """A reshape view and a mean_axis copy both reach one input, the
+        sweep handing over either one first."""
+        wa, wb = Tensor(rng.normal(size=(3, 12))), Tensor(rng.normal(size=(3, 4)))
+        bias = Tensor(np.zeros(3))
+
+        def f(ts):
+            a = engine.fully_connected(engine.reshape(ts[0], (2, 12)), wa, bias)
+            b = engine.fully_connected(engine.mean_axis(ts[0], axis=1), wb, bias)
+            return engine.softmax_cross_entropy(add(b, a) if mean_first else add(a, b), np.array([1, 2]))
+
+        report = grad_check(f, [rng.normal(size=(2, 3, 4))], tolerance=1e-6)
+        assert report.passed, report
 
 
 def _other_call_forms():

@@ -1,5 +1,6 @@
 import hashlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -196,6 +197,30 @@ class TestSteps:
         tr = Trainer(TrainConfig(mode="full", seed=6), N_CLASSES)
         with pytest.raises(training.TrainingError):
             tr.g_step(x[:0], y[:0])
+
+    def test_g_step_leaves_each_parameter_its_own_writable_grad(self, batch):
+        x, y, _ = batch
+        tr = Trainer(TrainConfig(mode="full", seed=6), N_CLASSES)
+        tr.d_step(x)
+        tr.g_step(x, y)
+        grads = [t.grad for t in tr.model.named_tensors().values()]
+        for i, g in enumerate(grads):
+            assert isinstance(g, np.ndarray) and g.dtype == np.float64 and g.flags.writeable
+            assert not any(np.may_share_memory(g, other) for other in grads[i + 1 :])
+
+    def test_recorded_latent_holds_no_patch_rows(self):
+        """One B=32, k=3 `full` batch: 288 slices per encoder conv, whose
+        patch rows alone would be 140 MB."""
+        model = build_model("full", N_CLASSES, seed=2)
+        x = np.random.default_rng(2).uniform(size=(32, 9, 30, 30))
+        tracemalloc.start()
+        try:
+            z = model.latent(x)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert z._backward is not None
+        assert held < 250e6, f"traced {held / 1e6:.0f} MB"
 
 
 class TestTrainEpoch:
