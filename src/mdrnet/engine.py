@@ -142,7 +142,12 @@ def _make(data, parents, backward):
 def _logistic(x):
     """Plain numpy sigmoid, split at 0 so that exp never overflows."""
     e = np.exp(np.minimum(x, -x))  # exp(-|x|), a NaN keeps its sign
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    # the same bits as np.where(x >= 0, 1 / (1 + e), e / (1 + e)) without its
+    # data-dependent branch: e <= 1, so the numerator is 1 where x >= 0 and e
+    # elsewhere, a NaN included
+    num = np.maximum(e, x >= 0)
+    num /= 1.0 + e
+    return num
 
 
 def leaky_rectifier(a, slope=0.2):
@@ -614,13 +619,16 @@ def adam_step(params, grads, state, lr):
 
 
 class Adam:
-    """Adam over a fixed parameter list; learning rate supplied per step."""
+    """Adam over a fixed parameter list; learning rate supplied per step.
 
-    def __init__(self, params, base_lr, decay=1.0):
+    The moments start at zero unless `state`, an AdamState whose moments
+    match the parameters, is given; it is adopted, not copied."""
+
+    def __init__(self, params, base_lr, decay=1.0, state=None):
         self.params = list(params)
         self.base_lr = float(base_lr)
         self.decay = float(decay)
-        self.state = AdamState.for_params(self.params)
+        self.state = AdamState.for_params(self.params) if state is None else state
 
     def lr_at_epoch(self, epoch):
         return self.base_lr * self.decay**epoch

@@ -38,6 +38,12 @@ class RetrievalResult:
     ranked_ids: list
     relevant: list  # bool per rank (same class as the query)
 
+    @functools.cached_property
+    def curve(self):
+        """`pr_curve(self)`, computed on first use and kept: `macro_pr` and
+        `pr_csv` both read it."""
+        return pr_curve(self)
+
 
 def retrieve(query_id, query_vec, gallery_ids, gallery_vecs, gallery_labels, query_label):
     """Rank the gallery (query excluded) by ascending Euclidean distance
@@ -195,7 +201,7 @@ def interpolated_precision(curve: PrCurve):
 def macro_pr(results):
     """Mean 11-point interpolated curve across queries with relevant items."""
     rows = [
-        interpolated_precision(pr_curve(r))
+        interpolated_precision(r.curve)
         for r in results
         if any(r.relevant)
     ]
@@ -212,7 +218,7 @@ _format_ratio = functools.lru_cache(maxsize=1 << 14)("{:.17g}".format)
 
 
 def pr_csv(result: RetrievalResult) -> str:
-    curve = pr_curve(result)
+    curve = result.curve
     n = len(curve.recall)
     fields = [None] * (3 * n)
     fields[0::3] = range(1, n + 1)

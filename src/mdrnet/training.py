@@ -25,13 +25,24 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import engine, network
-from .engine import Adam
+from .engine import Adam, AdamState, Tensor
 from .mdr import compute_mdr, normalize_mdr
-from .network import DESCRIPTOR_DIM, LSTM_CHANNELS, LSTM_SPATIAL, NetworkError, SliceEncoderParams
+from .network import (
+    DESCRIPTOR_DIM,
+    ENCODER_CHANNELS,
+    ENCODER_KERNEL,
+    LSTM_CHANNELS,
+    LSTM_KERNEL,
+    LSTM_SPATIAL,
+    ConvLstmParams,
+    NetworkError,
+    SliceEncoderParams,
+)
 from .voxel import DatasetError
 
 MODES = ("cnn_only", "cnn_rnn", "cnn_adv", "full")
 ADVERSARIAL_MODES = ("cnn_adv", "full")
+LSTM_MODES = ("cnn_rnn", "full")
 
 
 class ConfigError(ValueError):
@@ -200,15 +211,49 @@ def _head_sizes(mode, n_classes):
     return (DESCRIPTOR_DIM, n_classes)  # cnn_rnn: single FC softmax over the descriptor
 
 
-def build_model(mode, n_classes, k=3, seed=0) -> Model:
+def param_shapes(mode, n_classes):
+    """{name: shape} of every parameter of a `build_model` model, in
+    `Model.named_tensors` order; computed, nothing allocated."""
+    shapes, fan_in = {}, 1  # one density channel per slice
+    for i, c in enumerate(ENCODER_CHANNELS):
+        shapes[f"gen.enc{i}.w"] = (c, fan_in, ENCODER_KERNEL, ENCODER_KERNEL)
+        shapes[f"gen.enc{i}.b"] = (c,)
+        fan_in = c
+    if mode in LSTM_MODES:
+        c, kk, side = LSTM_CHANNELS, LSTM_KERNEL, LSTM_SPATIAL
+        shapes.update({"gen.lstm.w_x": (4, c, c, kk, kk), "gen.lstm.w_h": (4, c, c, kk, kk),
+                       "gen.lstm.w_c": (3, c, side, side), "gen.lstm.b": (4, c)})
+    sizes = _head_sizes(mode, n_classes)
+    for i, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
+        shapes[f"{_head_prefix(mode)}.fc{i}.w"] = (fan_out, fan_in)
+        shapes[f"{_head_prefix(mode)}.fc{i}.b"] = (fan_out,)
+    return shapes
+
+
+def build_model(mode, n_classes, k=3, seed=0, params=None) -> Model:
+    """The model of a mode, its parameters drawn from `seed`; or, given
+    `params` ({name: array} of every name `param_shapes` lists, each of its
+    shape), those arrays adopted as the parameters, uncopied and undrawn."""
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}")
     if n_classes < 2:
         raise ConfigError(f"classification and retrieval need at least 2 classes, got {n_classes}")
-    rng = np.random.default_rng([int(seed) & 0xFFFFFFFFFFFFFFFF, 0x3DA])
-    encoder = network.init_encoder(rng)
-    lstm = network.init_convlstm(rng) if mode in ("cnn_rnn", "full") else None
-    head = network.init_mlp(rng, _head_sizes(mode, n_classes))
+    if params is None:
+        rng = np.random.default_rng([int(seed) & 0xFFFFFFFFFFFFFFFF, 0x3DA])
+        encoder = network.init_encoder(rng)
+        lstm = network.init_convlstm(rng) if mode in LSTM_MODES else None
+        head = network.init_mlp(rng, _head_sizes(mode, n_classes))
+        return Model(mode, n_classes, k, encoder, lstm, head)
+    t = {name: Tensor(params[name], requires_grad=True) for name in param_shapes(mode, n_classes)}
+
+    def layers(prefix, n):
+        return [(t[f"{prefix}{i}.w"], t[f"{prefix}{i}.b"]) for i in range(n)]
+
+    encoder = SliceEncoderParams(layers("gen.enc", len(ENCODER_CHANNELS)))
+    lstm = None
+    if mode in LSTM_MODES:
+        lstm = ConvLstmParams(*(t[f"gen.lstm.{n}"] for n in ("w_x", "w_h", "w_c", "b")))
+    head = layers(f"{_head_prefix(mode)}.fc", len(_head_sizes(mode, n_classes)) - 1)
     return Model(mode, n_classes, k, encoder, lstm, head)
 
 
@@ -244,14 +289,14 @@ class Trainer:
     """Owns model parameters and optimizer state for one training run."""
 
     def __init__(self, config: TrainConfig, n_classes):
+        self._start(config, build_model(config.mode, n_classes, config.k, config.seed))
+
+    def _start(self, config, model, gen_state=None, head_state=None):
+        """Train `model` from epoch 0; Adam's moments start at zero unless given."""
         self.config = config
-        self.model = build_model(config.mode, n_classes, config.k, config.seed)
-        self.opt_gen = Adam(
-            [t for _, t in self.model.gen_tensors()], config.lr_gen, config.decay
-        )
-        self.opt_head = Adam(
-            [t for _, t in self.model.head_tensors()], config.lr_dis, config.decay
-        )
+        self.model = model
+        self.opt_gen = Adam([t for _, t in model.gen_tensors()], config.lr_gen, config.decay, gen_state)
+        self.opt_head = Adam([t for _, t in model.head_tensors()], config.lr_dis, config.decay, head_state)
         self.epoch = 0
         self.metrics = []
         self._latent = None  # (x_batch, latent) of the last d_step, for its g_step
@@ -378,9 +423,14 @@ class Trainer:
 
     @classmethod
     def restore(cls, data, config: TrainConfig | None = None):
-        """Rebuild a trainer from `save` bytes, filling a new trainer's arrays in
-        place; records other than the names and shapes of its `to_records`, an
-        out-of-range count, or a config differing in mode or k are a NetworkError."""
+        """Rebuild a trainer from `save` bytes.
+
+        A missing or misshapen record, an out-of-range count, or a config
+        differing in mode or k is a NetworkError raised before any array
+        is allocated; a record that `to_records` does not write is one
+        too. Each parameter and Adam moment is one copy of its record,
+        which `build_model` and `Adam` adopt: nothing is drawn from the
+        RNG or zero-filled only to be overwritten."""
         records = network.load_records(data)
 
         def record(name, shape):
@@ -405,21 +455,32 @@ class Trainer:
         for name, saved, given in (("/meta/mode_id", mode, config.mode), ("/meta/k", k, config.k)):
             if saved != given:
                 raise NetworkError(f"checkpoint record {name} gives {saved!r} but the config has {given!r}")
-        # bound n_classes by the head's last weight before the model is allocated
-        sizes = _head_sizes(config.mode, n_classes)
-        record(f"{_head_prefix(config.mode)}.fc{len(sizes) - 2}.w", (sizes[-1], sizes[-2]))
-        trainer = cls(config, n_classes)
+        shapes = param_shapes(config.mode, n_classes)
+        # each parameter with its moments, in `named_tensors` order: the head's
+        # last weight, which bounds n_classes, comes before the bias sized by
+        # it, and every check before the first copy
+        for name, shape in shapes.items():
+            for stored in (name, f"/opt/{name}.m", f"/opt/{name}.v"):
+                record(stored, shape)
+        epoch = count("/meta/epoch", 0)
+        t_gen, t_head = count("/opt/gen.t", 0), count("/opt/head.t", 0)
+
+        def copy(name):
+            return np.array(records[name], dtype=np.float64)
+
+        def moments(tensors, t):
+            names = [f"/opt/{name}" for name, _ in tensors]
+            return AdamState([copy(f"{n}.m") for n in names], [copy(f"{n}.v") for n in names], t)
+
+        model = build_model(config.mode, n_classes, config.k, params={n: copy(n) for n in shapes})
+        trainer = cls.__new__(cls)
+        trainer._start(config, model, moments(model.gen_tensors(), t_gen),
+                       moments(model.head_tensors(), t_head))
+        trainer.epoch = epoch
         layout = trainer.to_records()
-        for name, value in layout.items():
-            stored = record(name, np.shape(value))
-            if isinstance(value, np.ndarray):  # a parameter or Adam moment; the scalars are counts
-                value[...] = stored
         for name in records:
             if name not in layout:
                 raise NetworkError(f"checkpoint has unexpected record {name}")
-        trainer.epoch = count("/meta/epoch", 0)
-        trainer.opt_gen.state.t = count("/opt/gen.t", 0)
-        trainer.opt_head.state.t = count("/opt/head.t", 0)
         return trainer
 
 

@@ -71,6 +71,16 @@ class TestPointwise:
         with np.errstate(all="ignore"):
             assert same_bits(engine._logistic(x), masked_logistic(x))
 
+    def test_logistic_matches_where_select_bit_for_bit(self, rng):
+        """The branch-free numerator against the two-quotient select it replaced."""
+        edges = np.array([1e-300, -1e-300, 745.0, -745.0, 744.5, -744.5])
+        x = np.concatenate([SPECIAL_VALUES, edges, rng.normal(scale=20, size=2002)])
+        with np.errstate(all="ignore"):
+            e = np.exp(np.minimum(x, -x))
+            want = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+            assert same_bits(engine._logistic(x), want)
+            assert same_bits(engine._logistic(x.reshape(2, 2, -1)), want.reshape(2, 2, -1))
+
     def test_pointwise_gradients_match_finite_differences(self, rng):
         weight = Tensor(rng.normal(size=(1, 100)))
         x = rng.uniform(-1, 1, size=(10, 10))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mdrnet import evaluation
 from mdrnet.evaluation import (
     EvaluationError,
     RetrievalResult,
@@ -177,6 +178,22 @@ class TestPrCurve:
                 + [f"{rank},{r:.17g},{p:.17g}\n" for rank, (r, p) in enumerate(rows, start=1)]
             )
             assert pr_csv(result(f)) == expected
+
+    def test_one_curve_per_query_for_macro_and_per_query_csv(self, monkeypatch):
+        results = [result([True, False, True], "a"), result([False, True, True], "b")]
+        fresh = [result(r.relevant, r.query_id) for r in results]
+        want = [pr_csv(r) for r in fresh], macro_pr_csv(fresh)
+        calls = []
+        curve = evaluation.pr_curve
+
+        def counting(r):
+            calls.append(r.query_id)
+            return curve(r)
+
+        monkeypatch.setattr(evaluation, "pr_curve", counting)
+        macro = macro_pr_csv(results)
+        assert ([pr_csv(r) for r in results], macro) == want
+        assert calls == ["a", "b"]
 
     def test_csv_outputs(self):
         res = result([True, False, True])

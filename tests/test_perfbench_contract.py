@@ -93,3 +93,24 @@ def test_encoder_convs_attributed_per_layer(tmp_path):
     for layer in ("enc0", "enc1", "enc2", "enc3"):
         assert metrics[f"engine.conv2d.{layer}.calls"][0] == batches, layer
         assert metrics[f"engine.conv2d.{layer}.bwd_s"][0] > 0, layer
+
+
+def test_restored_model_convs_attributed_per_layer(tmp_path):
+    """The model `extract` restores from its checkpoint is registered: each
+    encoder conv lands in its layer's group, one call per batch. Set-up runs
+    uninstrumented, so no model built there is registered."""
+    wl = workloads.WORKLOADS["extract"]
+    state = wl.setup(1, tmp_path / "work", workloads.SIZES["tiny"], workloads.SetupClock())
+    recorder = spans.Recorder()
+    with recorder.instrument():
+        recorder.enabled = True
+        try:
+            with recorder.span("bench.op"):
+                ids, _, _ = wl.op(state)
+        finally:
+            recorder.enabled = False
+    batches = spans.by_name(recorder.spans)["training.latent"]["calls"]
+    assert batches == -(-len(ids) // 64)
+    metrics = spans.layer_metrics(recorder.spans, 1)
+    for layer in ("enc0", "enc1", "enc2", "enc3"):
+        assert metrics[f"engine.conv2d.{layer}.calls"][0] == batches, layer

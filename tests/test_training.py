@@ -113,6 +113,21 @@ class TestBuildModel:
             build_model("vae", N_CLASSES)
 
     @pytest.mark.parametrize("mode", training.MODES)
+    def test_param_shapes_list_the_drawn_model(self, mode):
+        drawn = build_model(mode, N_CLASSES, seed=1).named_tensors()
+        shapes = training.param_shapes(mode, N_CLASSES)
+        assert list(shapes.items()) == [(name, t.shape) for name, t in drawn.items()]
+
+    @pytest.mark.parametrize("mode", training.MODES)
+    def test_given_params_are_adopted_in_named_order(self, mode):
+        drawn = build_model(mode, N_CLASSES, seed=1).named_tensors()
+        params = {name: t.data.copy() for name, t in drawn.items()}
+        adopted = build_model(mode, N_CLASSES, params=params)
+        assert list(adopted.named_tensors()) == list(drawn)
+        for name, t in adopted.named_tensors().items():
+            assert t.data is params[name] and t.requires_grad
+
+    @pytest.mark.parametrize("mode", training.MODES)
     @pytest.mark.parametrize("n_classes", [0, 1])
     def test_fewer_than_two_classes_rejected(self, mode, n_classes):
         with pytest.raises(ConfigError, match="at least 2 classes"):
@@ -419,6 +434,25 @@ class TestCheckpoint:
             assert t.data is built[0][name]
             assert np.array_equal(t.data, trained[name].data)
 
+
+    @pytest.mark.parametrize("mode", training.MODES)
+    def test_restore_draws_nothing_and_zero_fills_no_moment(self, mode, monkeypatch):
+        x, y, _ = small_batch(4)
+        tr = Trainer(TrainConfig(mode=mode, batch_size=4, seed=2), N_CLASSES)
+        tr.train_epoch(x, y)
+        data = tr.save()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("restore drew or zero-filled an array it overwrites")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        monkeypatch.setattr(engine.AdamState, "for_params", refuse)
+        restored = Trainer.restore(data)
+        assert restored.save() == data
+        for opt in (restored.opt_gen, restored.opt_head):
+            for p, m, v in zip(opt.params, opt.state.m, opt.state.v):
+                for a in (p.data, m, v):
+                    assert a.flags.writeable and a.flags.c_contiguous and a.flags.owndata
 
     def test_n_classes_checked_before_model_is_built(self, monkeypatch):
         records = network.load_records(Trainer(TrainConfig(mode="cnn_only", seed=7), N_CLASSES).save())
