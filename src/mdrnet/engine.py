@@ -1,4 +1,4 @@
-"""Minimal reverse-mode autodiff engine on float64 numpy arrays.
+"""Minimal reverse-mode autodiff engine on float numpy arrays.
 
 Everything is sized for small volumetric-slice networks. The ops are
 batched 2D convolution with a ceil-mode "same" padding rule, the leaky
@@ -12,6 +12,11 @@ node's closure, parents and gradient as soon as that node has passed its
 gradient on, so the arrays a closure saved are freed while the sweep
 walks on. Leaves keep their `.grad`; a second `backward()` through a
 consumed graph is an EngineError.
+
+Every op computes in its inputs' dtype: float32 inputs give float32
+values, gradients and scratch buffers, float64 inputs float64 ones (the
+model trains in float32; the gradient checker and the loop oracles run
+in float64). Inputs of mixed dtypes compute in the wider one.
 """
 from __future__ import annotations
 
@@ -45,12 +50,15 @@ def no_grad():
 
 
 class Tensor:
-    """A float64 array plus an accumulated gradient and a backward closure."""
+    """A float array plus an accumulated gradient and a backward closure.
+
+    A float array keeps its dtype; any other data becomes float64."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad=False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype.kind == "f" else data.astype(np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self._parents = ()
@@ -76,7 +84,7 @@ class Tensor:
 
     def accumulate(self, g):
         """Add `g` to the gradient. The first `g` is kept, not copied, so a
-        closure hands each parent a float64 array of its own: one it built,
+        closure hands each parent a float array of its own: one it built,
         or a view of one that only the consumed graph held."""
         if self.grad is None:
             self.grad = g
@@ -160,8 +168,9 @@ def leaky_rectifier(a, slope=0.2):
 
     def backward(g):
         # the same bits as np.where(a >= 0, g, slope * g) without its
-        # data-dependent branch: the factor is 1.0 or slope
-        d = np.maximum(a.data >= 0, slope)
+        # data-dependent branch: the factor is 1.0 or slope, in a's dtype
+        # (a bool array and a Python float would promote to float64)
+        d = np.maximum(a.data >= 0, slope, dtype=a.data.dtype)
         d *= g
         a.accumulate(d)
 
@@ -265,9 +274,10 @@ def conv2d(x, kernels, bias=None, stride=2):
     N = B * ho * wo
     wr = kernels.data.transpose(0, 2, 3, 1).reshape(co, K)  # (co, kh*kw*ci)
     parents = (x, kernels) if bias is None else (x, kernels, bias)
+    dtype = np.result_type(*(p.data for p in parents))
     images = max(1, _CONV_ROW_BLOCK // (ho * wo))
-    rows = np.empty((min(B, images) * ho * wo, K))
-    out = np.empty((N, co))
+    rows = np.empty((min(B, images) * ho * wo, K), dtype)
+    out = np.empty((N, co), dtype)
     for b in range(0, B, images):
         n = min(images, B - b)
         r0, r1 = b * ho * wo, (b + n) * ho * wo
@@ -282,7 +292,7 @@ def conv2d(x, kernels, bias=None, stride=2):
     def backward(g):
         gr = g.transpose(0, 2, 3, 1).reshape(N, co)  # a view when g is channels-last
         if _needs_grad(kernels):
-            rows = np.empty((N, K))
+            rows = np.empty((N, K), dtype)
             np.copyto(rows.reshape(B, ho, wo, kh, kw, ci), win)
             dw = (gr.T @ rows).reshape(co, kh, kw, ci)
             del rows
@@ -292,8 +302,8 @@ def conv2d(x, kernels, bias=None, stride=2):
         if _needs_grad(x):
             # col2im channels-last, one block of whole images at a time through
             # one scratch dcols: each tap slab is a run of whole channel rows
-            dxp = np.zeros((B, Hp, Wp, ci))
-            dcols = np.empty((min(B, images), ho, wo, kh, kw, ci))
+            dxp = np.zeros((B, Hp, Wp, ci), dtype)
+            dcols = np.empty((min(B, images), ho, wo, kh, kw, ci), dtype)
             for b in range(0, B, images):
                 n = min(images, B - b)
                 r0, r1 = b * ho * wo, (b + n) * ho * wo
@@ -358,8 +368,8 @@ def _unroll(kernels, taps):
     g, o, c, kh, kw = kernels.shape
     p = len(taps)
     flat = kernels.reshape(g * o, c, kh * kw)
-    dense = np.empty((p, g * o, c, p))
-    table = np.zeros((min(_UNROLL_BLOCK, g * o), c, kh * kw + 1))  # the last tap stays zero
+    dense = np.empty((p, g * o, c, p), kernels.dtype)
+    table = np.zeros((min(_UNROLL_BLOCK, g * o), c, kh * kw + 1), kernels.dtype)  # the last tap stays zero
     for r in range(0, g * o, _UNROLL_BLOCK):
         n = min(_UNROLL_BLOCK, g * o - r)
         table[:n, :, :-1] = flat[r : r + n]
@@ -380,7 +390,7 @@ def _fold(dense, taps, shape):
     blocks = dense.reshape(p, g * o, c, p)
     pairs = [(q, j, taps[q, j]) for q in range(p) for j in range(p) if taps[q, j] < kh * kw]
     # C order, as the optimizer's moments are: mixed layouts slow Adam down
-    grad = np.zeros((g * o, c, kh * kw))
+    grad = np.zeros((g * o, c, kh * kw), dense.dtype)
     for r in range(0, g * o, _UNROLL_BLOCK):
         block = grad[r : r + _UNROLL_BLOCK]
         for q, j, t in pairs:
@@ -423,6 +433,7 @@ def convlstm(x, w_x, w_h, w_c, b, h0=None, c0=None):
         raise EngineError(f"convlstm parameters do not fit {C} channels on a {H}x{W} map")
     taps = _conv_taps(H, W, *w_x.shape[3:])
     parents = (x, w_x, w_h, w_c, b, *starts)
+    dtype = np.result_type(*(p.data for p in parents))
     record = _grad_enabled and any(_needs_grad(p) for p in parents)
 
     def channels_last(s):  # (B, C, H, W) -> (B, P, C) view
@@ -439,10 +450,10 @@ def convlstm(x, w_x, w_h, w_c, b, h0=None, c0=None):
     z = (xs @ wx.T).reshape(T, B, P, 4, C)
     z += b.data
     h = None if h0 is None else channels_last(h0.data)
-    c = np.zeros((B, P, C)) if c0 is None else channels_last(c0.data)
+    c = np.zeros((B, P, C), dtype) if c0 is None else channels_last(c0.data)
     if record:
-        h_rows = np.zeros((T, B, C * P))
-        cells = np.empty((T + 1, B, P, C))
+        h_rows = np.zeros((T, B, C * P), dtype)
+        cells = np.empty((T + 1, B, P, C), dtype)
         cells[0] = c
     for t in range(T):
         zt = z[t]
@@ -462,10 +473,10 @@ def convlstm(x, w_x, w_h, w_c, b, h0=None, c0=None):
             cells[t + 1] = c
 
     def reverse(dh_out, dc_out):
-        dh = np.zeros((B, P, C)) if dh_out is None else channels_last(dh_out)
-        dc = np.zeros((B, P, C)) if dc_out is None else channels_last(dc_out)
+        dh = np.zeros((B, P, C), dtype) if dh_out is None else channels_last(dh_out)
+        dc = np.zeros((B, P, C), dtype) if dc_out is None else channels_last(dc_out)
         dz = np.empty_like(z)
-        dpeep = np.zeros((3, P, C))
+        dpeep = np.zeros((3, P, C), dtype)
         # h0 gets no recurrent GEMM when it is absent or needs no gradient
         first = 0 if h0 is not None and _needs_grad(h0) else 1
         for t in reversed(range(T)):
@@ -497,7 +508,8 @@ def convlstm(x, w_x, w_h, w_c, b, h0=None, c0=None):
         if _needs_grad(b):
             b.accumulate(dz.sum(axis=(0, 1, 2)))
         if _needs_grad(w_c):
-            w_c.accumulate(dpeep.transpose(0, 2, 1).reshape(3, C, H, W))
+            # C order, as the optimizer's moments are
+            w_c.accumulate(np.ascontiguousarray(dpeep.transpose(0, 2, 1)).reshape(3, C, H, W))
         if h0 is not None and _needs_grad(h0):
             h0.accumulate(channels_first(dh).reshape(B, C, H, W))
         if c0 is not None and _needs_grad(c0):
@@ -509,8 +521,8 @@ def convlstm(x, w_x, w_h, w_c, b, h0=None, c0=None):
 
 
 def softmax(logits):
-    """Plain numpy softmax over the last axis (no graph)."""
-    z = np.asarray(logits, dtype=np.float64)
+    """Plain numpy softmax over the last axis (no graph), in the logits' dtype."""
+    z = np.asarray(logits)
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
@@ -595,8 +607,8 @@ def adam_step(params, grads, state, lr):
     c2 = 1.0 - b2**state.t
     # p -= lr * (m / c1) / (sqrt(v / c2) + eps), in the same operation order
     # and so with the same bits, one cache-sized block of cells at a time
-    # through two scratch buffers
-    scratch = np.empty((2, _ADAM_BLOCK))
+    # through two scratch buffers of the parameters' dtype
+    scratch = np.empty((2, _ADAM_BLOCK), np.result_type(*{p.data.dtype for p in params}))
     for p, g, m, v in zip(params, grads, state.m, state.v):
         if g is None:
             continue
@@ -662,34 +674,53 @@ def grad_check(fn, inputs, tolerance=1e-4, h=2e-4):
     """Compare reverse-mode gradients of `fn` with finite differences.
 
     fn takes a list of Tensors and returns a scalar Tensor. inputs is a
-    list of numpy arrays; every coordinate of every input is probed with
-    the 4-point central stencil (f(x-2h) - 8f(x-h) + 8f(x+h) - f(x+2h)) / 12h.
-    Its truncation error is O(h^4), so h can be large enough that rounding
-    in f stays far below a gradient of 1e-6, the smallest one judged by
-    relative error. A coordinate that misses the tolerance is probed again
-    at h/10 and keeps the smaller error: a kink of `fn`, such as the leaky
-    rectifier's at 0, may lie within the 2h the stencil reaches, while a
-    wrong gradient misses at every step.
+    list of numpy arrays, checked as float64; every coordinate of every
+    input is probed with the 4-point central stencil
+    (f(x-2h) - 8f(x-h) + 8f(x+h) - f(x+2h)) / 12h. Its truncation error is
+    O(h^4), so h can be large enough that rounding in f stays far below a
+    gradient of 1e-6, the smallest one judged by relative error.
+
+    A kink of `fn`, such as the leaky rectifier's at 0, may lie within the
+    2h the stencil reaches. A coordinate that misses the tolerance is
+    therefore judged again. When its two one-sided differences,
+    (-3f(x) + 4f(x+h) - f(x+2h)) / 2h and (3f(x) - 4f(x-h) + f(x-2h)) / 2h,
+    disagree, a kink lies on one side. The side that does not reach it,
+    the one whose three values bend less (the smaller second difference),
+    holds the derivative, and the coordinate passes if the gradient
+    matches that side. Where the sides agree, fn is smooth around x and
+    only the stencil counts. All this is tried once more at h/10, and the
+    smaller error is kept: a wrong gradient misses at every step.
     """
     tensors = [Tensor(np.array(x, dtype=np.float64), requires_grad=True) for x in inputs]
     out = fn(tensors)
+    f0 = out.item()
     out.backward()
     analytic = [
         t.grad if t.grad is not None else np.zeros_like(t.data) for t in tensors
     ]
 
+    def rel_error(a, b):
+        diff = abs(a - b)
+        den = max(abs(a), abs(b))
+        return diff / den if den > 1e-6 else diff
+
     def error(flat, j, ana, step):
         orig = flat[j]
-        f = {}
+        f = {0: f0}
         for k in (-2, -1, 1, 2):
             flat[j] = orig + k * step
             with no_grad():
                 f[k] = fn(tensors).item()
         flat[j] = orig
-        num = (f[-2] - 8.0 * f[-1] + 8.0 * f[1] - f[2]) / (12.0 * step)
-        diff = abs(ana - num)
-        den = max(abs(ana), abs(num))
-        return diff / den if den > 1e-6 else diff
+        rel = rel_error(ana, (f[-2] - 8.0 * f[-1] + 8.0 * f[1] - f[2]) / (12.0 * step))
+        if rel >= tolerance:
+            right = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * step)
+            left = (3.0 * f[0] - 4.0 * f[-1] + f[-2]) / (2.0 * step)
+            if rel_error(left, right) >= tolerance:  # a kink on one side
+                bend_right = abs(f[2] - 2.0 * f[1] + f[0])
+                bend_left = abs(f[-2] - 2.0 * f[-1] + f[0])
+                rel = min(rel, rel_error(ana, left if bend_left < bend_right else right))
+        return rel
 
     max_rel = 0.0
     for i, t in enumerate(tensors):

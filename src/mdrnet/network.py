@@ -18,10 +18,14 @@ from the four stored ConvLSTM tensors (gate-stacked input kernels,
 recurrent kernels, peepholes and biases) and never saved.
 
 `training.Model` is the one place these layers and the FC head (built by
-`init_mlp`) are assembled into a model and run.
+`init_mlp`) are assembled into a model and run. Every parameter is
+PARAM_DTYPE (float32), and so are the activations, gradients and Adam
+moments that follow it through the engine; checkpoint records stay
+little-endian float64, which holds every float32 value exactly.
 """
 from __future__ import annotations
 
+import io
 import math
 import re
 import struct
@@ -41,6 +45,8 @@ LSTM_KERNEL = 3
 LSTM_SPATIAL = 2
 DESCRIPTOR_DIM = LSTM_CHANNELS * LSTM_SPATIAL * LSTM_SPATIAL  # 1024
 LEAKY_SLOPE = 0.2
+# the dtype of every parameter; initial values are float64 draws rounded to it
+PARAM_DTYPE = np.float32
 
 # MDRNET1 checkpoints predate the feature normalization in encode_slice:
 # their weights would give different descriptors, so they are refused.
@@ -85,7 +91,7 @@ class ConvLstmParams:
 
 def _uniform_fan_in(rng, shape, fan_in):
     s = np.sqrt(1.0 / fan_in)
-    return Tensor(rng.uniform(-s, s, size=shape), requires_grad=True)
+    return Tensor(rng.uniform(-s, s, size=shape).astype(PARAM_DTYPE), requires_grad=True)
 
 
 def init_encoder(rng):
@@ -94,7 +100,7 @@ def init_encoder(rng):
     for c in ENCODER_CHANNELS:
         fan_in = prev * ENCODER_KERNEL * ENCODER_KERNEL
         w = _uniform_fan_in(rng, (c, prev, ENCODER_KERNEL, ENCODER_KERNEL), fan_in)
-        b = Tensor(np.zeros(c), requires_grad=True)
+        b = Tensor(np.zeros(c, PARAM_DTYPE), requires_grad=True)
         layers.append((w, b))
         prev = c
     return SliceEncoderParams(layers)
@@ -110,7 +116,7 @@ def init_convlstm(rng):
         w_h.append(_uniform_fan_in(rng, kern, fan_in).data)
         if gate != "c":  # the cell candidate has no peephole
             w_c.append(_uniform_fan_in(rng, (channels, side, side), channels).data)
-    b = np.zeros((4, channels))
+    b = np.zeros((4, channels), PARAM_DTYPE)
     b[1] = 1.0  # forget-gate bias starts at 1 so early recurrence keeps its state
     stacked = (np.stack(w_x), np.stack(w_h), np.stack(w_c), b)
     return ConvLstmParams(*(Tensor(a, requires_grad=True) for a in stacked))
@@ -121,7 +127,7 @@ def init_mlp(rng, sizes):
     layers = []
     for fan_in, fan_out in zip(sizes, sizes[1:]):
         w = _uniform_fan_in(rng, (fan_out, fan_in), fan_in)
-        b = Tensor(np.zeros(fan_out), requires_grad=True)
+        b = Tensor(np.zeros(fan_out, PARAM_DTYPE), requires_grad=True)
         layers.append((w, b))
     return layers
 
@@ -167,21 +173,35 @@ def run_convlstm(params: ConvLstmParams, features):
 
 
 def save_records(records):
-    """Serialize an ordered {name: float64 array} mapping: per record the
+    """Serialize an ordered {name: float array} mapping: per record the
     name length, UTF-8 name, rank and shape as little-endian u32s, then
-    the little-endian float64 values."""
-    pieces = [CHECKPOINT_MAGIC]
+    the values as little-endian float64, which a float32 array widens to
+    exactly. Each array is widened straight into one output buffer of the
+    file's size, so no widened copy of a record is ever held."""
+    heads = []
     for name, array in records.items():
         nb = name.encode("utf-8")
-        array = np.asarray(array, dtype="<f8", order="C")
-        pieces.append(struct.pack(f"<I{len(nb)}sI{array.ndim}I", len(nb), nb, array.ndim, *array.shape))
-        pieces.append(array)  # joined through the buffer protocol, no tobytes() copy
-    return b"".join(pieces)
+        array = np.asarray(array)
+        heads.append((struct.pack(f"<I{len(nb)}sI{array.ndim}I", len(nb), nb, array.ndim, *array.shape), array))
+    size = len(CHECKPOINT_MAGIC) + sum(len(head) + 8 * array.size for head, array in heads)
+    out = io.BytesIO()
+    out.seek(size - 1)
+    out.write(b"\0")  # sizes the buffer once
+    with out.getbuffer() as buf:
+        pos = len(CHECKPOINT_MAGIC)
+        buf[:pos] = CHECKPOINT_MAGIC
+        for head, array in heads:
+            buf[pos : pos + len(head)] = head
+            pos += len(head)
+            np.frombuffer(buf, "<f8", array.size, pos)[...] = array.reshape(-1)
+            pos += 8 * array.size
+    return out.getvalue()
 
 
 def load_records(data):
-    """Inverse of save_records as read-only views of `data`; a truncated record or
-    a non-UTF-8 name is a NetworkError, but a cut between two records is not."""
+    """Inverse of save_records as read-only float64 views of `data`; a
+    truncated record or a non-UTF-8 name is a NetworkError, but a cut
+    between two records is not."""
     if data[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
         raise NetworkError("bad checkpoint magic")
     view = memoryview(data).toreadonly()

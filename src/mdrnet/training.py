@@ -34,6 +34,7 @@ from .network import (
     LSTM_CHANNELS,
     LSTM_KERNEL,
     LSTM_SPATIAL,
+    PARAM_DTYPE,
     ConvLstmParams,
     NetworkError,
     SliceEncoderParams,
@@ -164,8 +165,9 @@ class Model:
         return dict(self.gen_tensors() + self.head_tensors())
 
     def latent(self, batch):
-        """(B, 3k, 30, 30) normalized slice stacks -> (B, 1024) Tensor."""
-        batch = np.asarray(batch, dtype=np.float64)
+        """(B, 3k, 30, 30) normalized slice stacks -> (B, 1024) Tensor,
+        computed in the parameters' dtype."""
+        batch = np.asarray(batch, dtype=PARAM_DTYPE)
         if batch.ndim != 4 or batch.shape[1] % 3:
             raise NetworkError(f"expected (B, 3k, H, W) slice stacks, got {batch.shape}")
         b, t, hh, ww = batch.shape
@@ -389,13 +391,15 @@ class Trainer:
     # -- inference ---------------------------------------------------------
 
     def extract(self, x):
-        """Forward-only latents for (n, 3k, D, D) inputs, in batches of 64: (n, 1024)."""
+        """Forward-only latents for (n, 3k, D, D) inputs, in batches of 64:
+        (n, 1024) float64, each value widened exactly from the float32
+        forward, so descriptor files and retrieval stay float64."""
         self._latent = None
-        outs = []
+        out = np.empty((len(x), DESCRIPTOR_DIM))
         with engine.no_grad():
             for start in range(0, len(x), 64):
-                outs.append(self.model.latent(x[start : start + 64]).data)
-        return np.concatenate(outs) if outs else np.zeros((0, DESCRIPTOR_DIM))
+                out[start : start + 64] = self.model.latent(x[start : start + 64]).data
+        return out
 
     # -- checkpointing -----------------------------------------------------
 
@@ -429,8 +433,9 @@ class Trainer:
         differing in mode or k is a NetworkError raised before any array
         is allocated; a record that `to_records` does not write is one
         too. Each parameter and Adam moment is one copy of its record,
-        which `build_model` and `Adam` adopt: nothing is drawn from the
-        RNG or zero-filled only to be overwritten."""
+        rounded to PARAM_DTYPE, which `build_model` and `Adam` adopt:
+        nothing is drawn from the RNG or zero-filled only to be
+        overwritten. A record this version saved rounds back exactly."""
         records = network.load_records(data)
 
         def record(name, shape):
@@ -466,7 +471,7 @@ class Trainer:
         t_gen, t_head = count("/opt/gen.t", 0), count("/opt/head.t", 0)
 
         def copy(name):
-            return np.array(records[name], dtype=np.float64)
+            return np.array(records[name], dtype=PARAM_DTYPE)
 
         def moments(tensors, t):
             names = [f"/opt/{name}" for name, _ in tensors]

@@ -159,6 +159,85 @@ def make_tiny_encoder(rng, channels=(2, 4), scale=0.5):
     return network.SliceEncoderParams(layers)
 
 
+def gradient_suite_cases(rng):
+    """(name, fn, inputs) of every check of the gradient gate, drawn from
+    `rng` in a fixed order: each primitive, then a downsized encoder ->
+    ConvLSTM -> two-layer head -> loss end to end."""
+    cases = []
+    # the pointwise primitive behind a fixed linear readout
+    weight = Tensor(rng.normal(size=(1, 64)))
+    # the same twelve draws as when five more ops shared this table, so
+    # leaky_rectifier and every later check keep their inputs
+    x = rng.uniform(-1, 1, size=(12, 8, 8))[4]
+    x = np.where(np.abs(x) < 1e-3, 0.1, x)  # avoid the kink
+    cases.append((
+        "leaky_rectifier",
+        lambda ts: linear_readout(engine.leaky_rectifier(ts[0], 0.2), weight),
+        [x],
+    ))
+
+    for stride, hw in ((2, 6), (1, 4)):
+        cases.append((
+            f"conv2d_s{stride}",
+            lambda ts, s=stride: engine.softmax_cross_entropy(
+                engine.reshape(engine.conv2d(ts[0], ts[1], ts[2], stride=s), (1, -1)), np.array([3])
+            ),
+            [
+                rng.uniform(-1, 1, size=(1, 2, hw, hw)),
+                rng.uniform(-1, 1, size=(3, 2, 3, 3)),
+                rng.uniform(-1, 1, size=3),
+            ],
+        ))
+
+    cases.append((
+        "fully_connected",
+        lambda ts: engine.softmax_cross_entropy(
+            engine.fully_connected(ts[0], ts[1], ts[2]), np.array([1])
+        ),
+        [rng.normal(size=(1, 6)), rng.normal(size=(4, 6)), rng.normal(size=4)],
+    ))
+    cases.append((
+        "softmax_cross_entropy",
+        lambda ts: engine.softmax_cross_entropy(ts[0], np.array([2])),
+        [rng.normal(size=(1, 5))],
+    ))
+    cases.append((
+        "mean_axis",
+        lambda ts: engine.softmax_cross_entropy(engine.mean_axis(ts[0], axis=2), np.array([0])),
+        [rng.normal(size=(1, 3, 7))],
+    ))
+
+    enc = make_tiny_encoder(rng, channels=(2, 4), scale=0.4)
+    lstm = make_tiny_lstm(rng, channels=4, scale=0.4)
+    w1, b1 = rng.normal(size=(5, 16)) * 0.4, np.zeros(5)
+    w2, b2 = rng.normal(size=(3, 5)) * 0.4, np.zeros(3)
+    mdr_in = rng.uniform(0, 1, (1, 3, 6, 6))
+    lstm_names = [n.split(".")[-1] for n, _ in lstm.tensors()]
+    lstm_arrays = [t.data for _, t in lstm.tensors()]
+
+    def end_to_end(ts):
+        it = iter(ts)
+        layers = [(next(it), next(it)) for _ in enc.layers]
+        lp = network.ConvLstmParams(
+            **dict(zip(lstm_names, [next(it) for _ in lstm_arrays]))
+        )
+        wa, ba, wb, bb = next(it), next(it), next(it), next(it)
+        x = next(it)
+        b, t, hh, ww = x.shape
+        feats = engine.reshape(x, (b * t, 1, hh, ww))
+        for w, bias in layers:
+            feats = engine.leaky_rectifier(engine.conv2d(feats, w, bias, stride=2), 0.2)
+        feats = engine.rms_normalize(feats, axes=(-3, -2, -1))
+        _, ch, fh, fw = feats.shape
+        z = network.run_convlstm(lp, engine.reshape(feats, (b, t, ch, fh, fw)))
+        h = engine.leaky_rectifier(engine.fully_connected(z, wa, ba), 0.2)
+        return engine.softmax_cross_entropy(engine.fully_connected(h, wb, bb), np.array([1]))
+
+    enc_arrays = [a for w, b in enc.layers for a in (w.data, b.data)]
+    cases.append(("end_to_end", end_to_end, enc_arrays + lstm_arrays + [w1, b1, w2, b2, mdr_in]))
+    return cases
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -16,7 +16,15 @@ from mdrnet.engine import (
     grad_check,
 )
 
-from conftest import add, linear_readout, loop_fold, loop_unroll, naive_conv2d, naive_conv2d_backward
+from conftest import (
+    add,
+    gradient_suite_cases,
+    linear_readout,
+    loop_fold,
+    loop_unroll,
+    naive_conv2d,
+    naive_conv2d_backward,
+)
 
 
 SPECIAL_VALUES = np.array([
@@ -545,32 +553,63 @@ class TestAdam:
         assert np.array_equal(results[0], results[1])
 
     def test_in_place_update_matches_expression(self, rng):
-        """Five steps give the bits of the plain-expression update."""
+        """Five steps give the bits of the plain-expression update, in the
+        parameters' dtype, float64 or float32."""
         b1, b2, eps = engine.ADAM_BETA1, engine.ADAM_BETA2, engine.ADAM_EPS
         shapes = [(3, 4), (5,), (2**15 + 5,)]  # the last: one full block and a tail
-        steps = [[rng.normal(size=s) * 10.0 ** rng.integers(-6, 3, size=s) for s in shapes]
-                 for _ in range(5)]
-        # parameters start at zero so that no update's low bits are rounded away
-        params = [Tensor(np.zeros(s), requires_grad=True) for s in shapes]
-        ref = [p.data.copy() for p in params]
-        m = [np.zeros(s) for s in shapes]
-        v = [np.zeros(s) for s in shapes]
-        state = AdamState.for_params(params)
-        for t, grads in enumerate(steps, 1):
-            adam_step(params, grads, state, 0.01)
-            c1, c2 = 1.0 - b1**t, 1.0 - b2**t
-            for k, g in enumerate(grads):
-                m[k] = m[k] * b1 + (1.0 - b1) * g
-                v[k] = v[k] * b2 + (1.0 - b2) * (g * g)
-                ref[k] = ref[k] - 0.01 * (m[k] / c1) / (np.sqrt(v[k] / c2) + eps)
-        for p, want, mk, vk, sm, sv in zip(params, ref, m, v, state.m, state.v):
-            assert np.array_equal(p.data, want)
-            assert np.array_equal(sm, mk) and np.array_equal(sv, vk)
+        for dtype in (np.float64, np.float32):
+            steps = [[(rng.normal(size=s) * 10.0 ** rng.integers(-6, 3, size=s)).astype(dtype) for s in shapes]
+                     for _ in range(5)]
+            # parameters start at zero so that no update's low bits are rounded away
+            params = [Tensor(np.zeros(s, dtype), requires_grad=True) for s in shapes]
+            ref = [p.data.copy() for p in params]
+            m = [np.zeros(s, dtype) for s in shapes]
+            v = [np.zeros(s, dtype) for s in shapes]
+            state = AdamState.for_params(params)
+            for t, grads in enumerate(steps, 1):
+                adam_step(params, grads, state, 0.01)
+                c1, c2 = 1.0 - b1**t, 1.0 - b2**t
+                for k, g in enumerate(grads):
+                    m[k] = m[k] * b1 + (1.0 - b1) * g
+                    v[k] = v[k] * b2 + (1.0 - b2) * (g * g)
+                    ref[k] = ref[k] - 0.01 * (m[k] / c1) / (np.sqrt(v[k] / c2) + eps)
+            for p, want, mk, vk, sm, sv in zip(params, ref, m, v, state.m, state.v):
+                assert p.data.dtype == sm.dtype == sv.dtype == dtype
+                assert np.array_equal(p.data, want)
+                assert np.array_equal(sm, mk) and np.array_equal(sv, vk)
 
     def test_epoch_decay_exact(self):
         opt = Adam([Tensor(np.zeros(1), requires_grad=True)], 0.01, decay=0.995)
         for e in (0, 1, 7, 60):
             assert opt.lr_at_epoch(e) == 0.01 * 0.995**e
+
+
+# (op, input shapes, the op applied to a list of Tensors) for every engine
+# op with a backward; softmax_cross_entropy reads out each one's output
+_OPS = [
+    ("leaky_rectifier", [(2, 3, 4)], lambda t: engine.leaky_rectifier(t[0], 0.2)),
+    ("rms_normalize", [(2, 3, 4)], lambda t: engine.rms_normalize(t[0], axes=(-2, -1))),
+    ("reshape", [(2, 3, 4)], lambda t: engine.reshape(t[0], (2, 12))),
+    ("mean_axis", [(2, 3, 4)], lambda t: engine.mean_axis(t[0], axis=1)),
+    ("conv2d", [(2, 2, 6, 6), (3, 2, 4, 4), (3,)], lambda t: engine.conv2d(*t, stride=2)),
+    ("fully_connected", [(2, 5), (3, 5), (3,)], lambda t: engine.fully_connected(*t)),
+    ("convlstm", [(2, 3, 4, 2, 2), (4, 4, 4, 3, 3), (4, 4, 4, 3, 3), (3, 4, 2, 2), (4, 4),
+                  (2, 4, 2, 2), (2, 4, 2, 2)], lambda t: add(*engine.convlstm(*t))),
+]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("name, shapes, op", _OPS, ids=[name for name, _, _ in _OPS])
+def test_op_values_and_gradients_keep_the_input_dtype(rng, name, shapes, op, dtype):
+    """Float64 inputs stay float64 through every op and its backward (the
+    leaky rectifier's included), as float32 ones stay float32."""
+    inputs = [Tensor(rng.normal(size=s).astype(dtype), requires_grad=True) for s in shapes]
+    out = op(inputs)
+    loss = engine.softmax_cross_entropy(engine.reshape(out, (2, -1)), np.array([0, 1]))
+    loss.backward()
+    assert out.data.dtype == loss.data.dtype == dtype
+    assert [t.grad.dtype for t in inputs] == [dtype] * len(inputs)
+    assert engine.softmax(out.data.reshape(2, -1)).dtype == dtype
 
 
 class TestGradCheck:
@@ -594,3 +633,55 @@ class TestGradCheck:
 
         report = grad_check(f, [np.array(0.3)])
         assert report.passed, report
+
+    def test_kink_beside_the_point(self):
+        """Leaky rectifier inputs a few 1e-6 from the kink: every step
+        reaches across it on one side, the other side holds the slope."""
+        weight = Tensor(np.array([[1.0, -2.0, 0.5, 3.0]]))
+        x = np.array([1e-6, -3e-6, 0.5, -0.5])
+
+        def f(ts):
+            return linear_readout(engine.leaky_rectifier(ts[0], 0.2), weight)
+
+        assert grad_check(f, [x]).passed
+
+        def misplaced_kink(ts):  # the slope switches at 1e-5 in the backward
+            a = ts[0]
+
+            def backward(g):
+                a.accumulate(np.where(a.data >= 1e-5, g, 0.2 * g))
+
+            out = engine._make(np.maximum(a.data, 0.2 * a.data), (a,), backward)
+            return linear_readout(out, weight)
+
+        assert not grad_check(misplaced_kink, [x]).passed
+
+    @staticmethod
+    def _shifted_end_to_end(shift):
+        """The gate's end-to-end check, drawn from its seed-31 stream after
+        `shift` leading normal draws."""
+        rng = np.random.default_rng(31)
+        rng.normal(size=shift)
+        name, fn, inputs = gradient_suite_cases(rng)[-1]
+        assert name == "end_to_end"
+        return fn, inputs
+
+    def test_end_to_end_across_a_kink(self):
+        """34 draws later, an inner leaky-rectifier input of the end-to-end
+        check lies so near its kink that every step tried reaches across."""
+        fn, inputs = self._shifted_end_to_end(34)
+        report = grad_check(fn, inputs, tolerance=1e-4)
+        assert report.passed, report
+
+    @pytest.mark.parametrize("shift", [0, 34])
+    def test_end_to_end_without_peephole_gradient_fails(self, shift, monkeypatch):
+        """A backward that drops the peephole gradient still fails, the
+        kink next door or not."""
+        convlstm = engine.convlstm
+
+        def no_peephole_gradient(x, w_x, w_h, w_c, b, *starts):
+            return convlstm(x, w_x, w_h, Tensor(w_c.data), b, *starts)
+
+        monkeypatch.setattr(engine, "convlstm", no_peephole_gradient)
+        fn, inputs = self._shifted_end_to_end(shift)
+        assert not grad_check(fn, inputs, tolerance=1e-4).passed

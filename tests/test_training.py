@@ -220,8 +220,18 @@ class TestSteps:
         tr.g_step(x, y)
         grads = [t.grad for t in tr.model.named_tensors().values()]
         for i, g in enumerate(grads):
-            assert isinstance(g, np.ndarray) and g.dtype == np.float64 and g.flags.writeable
+            assert isinstance(g, np.ndarray) and g.dtype == np.float32 and g.flags.writeable
             assert not any(np.may_share_memory(g, other) for other in grads[i + 1 :])
+
+    def test_full_step_keeps_parameters_grads_and_moments_float32(self, batch):
+        x, y, _ = batch
+        tr = Trainer(TrainConfig(mode="full", seed=6), N_CLASSES)
+        tr.d_step(x)
+        tr.g_step(x, y)
+        for opt in (tr.opt_gen, tr.opt_head):
+            for p, m, v in zip(opt.params, opt.state.m, opt.state.v):
+                for a in (p.data, p.grad, m, v):
+                    assert a.dtype == np.float32 and a.flags.c_contiguous
 
     def test_recorded_latent_holds_no_patch_rows(self):
         """One B=32, k=3 `full` batch: 288 slices per encoder conv, whose
@@ -358,13 +368,39 @@ class TestCheckpoint:
         assert np.array_equal(v1, v2)
         assert v1.shape == (4, 1024)
 
-    # The epoch-0 checkpoint pins every initialiser and its RNG draw order.
+    def test_extract_returns_float64_that_round_trips_a_descriptor_file(self):
+        x, _, ids = small_batch(4)
+        vecs = Trainer(TrainConfig(mode="full", seed=2), N_CLASSES).extract(x)
+        assert vecs.dtype == np.float64
+        assert np.array_equal(vecs.astype(np.float32), vecs)  # widened from the float32 forward
+        back_ids, back = network.load_descriptors(network.save_descriptors(ids, vecs))
+        assert back_ids == ids and back.dtype == np.float64 and back.tobytes() == vecs.tobytes()
+
+    @pytest.mark.parametrize("mode", ["cnn_only", "full"])
+    def test_float64_records_restore_to_their_float32_rounding(self, mode):
+        """Records that float32 cannot hold, as a float64 model saves them."""
+        records = network.load_records(Trainer(TrainConfig(mode=mode, seed=7), N_CLASSES).save())
+        rng = np.random.default_rng(3)
+        for name, value in records.items():
+            if value.ndim:
+                records[name] = rng.uniform(0.0, 1.0, value.shape)
+        restored = Trainer.restore(network.save_records(records))
+        for opt in (restored.opt_gen, restored.opt_head):
+            for p, m, v in zip(opt.params, opt.state.m, opt.state.v):
+                name = next(n for n, t in restored.model.named_tensors().items() if t is p)
+                for a, stored in ((p.data, name), (m, f"/opt/{name}.m"), (v, f"/opt/{name}.v")):
+                    assert a.dtype == np.float32
+                    assert not np.array_equal(a, records[stored])
+                    assert np.array_equal(a, records[stored].astype(np.float32))
+
+    # The epoch-0 checkpoint pins every initialiser and its RNG draw order:
+    # float64 draws rounded to the float32 parameters, saved widened to f8.
     # Init makes no BLAS call, so the digests hold for a given NumPy build.
     @pytest.mark.parametrize("mode, digest", [
-        ("cnn_only", "f40f23f234798e577916ef489fcef7c9da95397741806b47ed0bed1ccdd6579a"),
-        ("cnn_rnn", "66c5e6ea23e7416fb72adb248a854d1aabac071a581193c691a78df4194dd519"),
-        ("cnn_adv", "88bee1a099d6e9690a5e989d567f8ca91e3291f3dec4ec52678513fd77450e7d"),
-        ("full", "7cdb5b1026b688aa928eea5626467b10ab300d1013c56e020e3be8e203650836"),
+        ("cnn_only", "b39da8bc9311fab668a0d67641e5fe94c05a13e1a03ca24b00f4d72e710e28a5"),
+        ("cnn_rnn", "b452fd265acad1e6068022b992e4f81314636241107ab63d1bc579a9db7004d4"),
+        ("cnn_adv", "c2a6b6bd9b6ab1eb30cff31225cd51fc8e8afa2e94e30342b1fc44a1ce031550"),
+        ("full", "1e7db73e3e9bbd012a9e8663133645c61686644856de21cca8ff29fedfd36f2e"),
     ])
     def test_initial_checkpoint_digest(self, mode, digest):
         data = Trainer(TrainConfig(mode=mode, seed=7), N_CLASSES).save()

@@ -5,7 +5,8 @@ Run from the repository root:
     PYTHONPATH=src python3 tools/digests.py
 
 It pins one BLAS thread (before NumPy loads), prints the NumPy and BLAS
-versions, then the first 8 hex digits of the SHA-256 of
+versions and the dtype of the model's parameters, then the first 8 hex
+digits of the SHA-256 of
 
 - the epoch-0 and 2-epoch checkpoints of each mode, trained on every shape
   of `build_synthetic_dataset(SYNTHETIC_CLASSES, 8, 3)` with batch size 8
@@ -134,7 +135,8 @@ def recipe_digests(root):
 
 def main():
     build = cli.platform_record()
-    print(f"numpy {build['numpy']}; blas {build['blas']} {build['blas_version']}")
+    dtype = np.dtype(network.PARAM_DTYPE)
+    print(f"numpy {build['numpy']}; blas {build['blas']} {build['blas_version']}; parameters {dtype}")
     checkpoint_digests()
     extract_digest()
     with tempfile.TemporaryDirectory() as tmp:
