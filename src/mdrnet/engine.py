@@ -645,9 +645,7 @@ class Adam:
     def lr_at_epoch(self, epoch):
         return self.base_lr * self.decay**epoch
 
-    def step(self, epoch=0, lr=None):
-        if lr is None:
-            lr = self.lr_at_epoch(epoch)
+    def step(self, lr):
         grads = [p.grad for p in self.params]
         adam_step(self.params, grads, self.state, lr)
 

@@ -1,4 +1,4 @@
-"""Generator layers (slice encoder + ConvLSTM), initialisers and file formats.
+"""Generator forward passes (slice encoder + ConvLSTM) and file formats.
 
 The encoder maps each normalized 30x30 slice to a 256x2x2 feature map
 through four stride-2 conv layers (32, 64, 128, 256 channels), then
@@ -9,19 +9,15 @@ and saturates every ConvLSTM gate. The ConvLSTM consumes the 3k feature
 maps in sequence; its final cell state, flattened to 1024 values, is the
 shape descriptor (the paper's 3D-DDSD); the hidden state only feeds the
 recurrence. On the 2x2 state map each 3x3 "same" gate conv is exactly a
-dense map, so the recurrence runs as dense gate GEMMs
-(`engine.convlstm`): the four input kernels and the four recurrent
-kernels are unrolled into two (4096, 1024) matrices on every forward,
-the input projection of all B*3k slices is one GEMM, and each step adds
-one recurrent GEMM and the gate arithmetic. The matrices are derived
-from the four stored ConvLSTM tensors (gate-stacked input kernels,
-recurrent kernels, peepholes and biases) and never saved.
+dense map, so `engine.convlstm` runs the recurrence as dense gate GEMMs
+from the four gate-stacked ConvLSTM tensors.
 
-`training.Model` is the one place these layers and the FC head (built by
-`init_mlp`) are assembled into a model and run. Every parameter is
-PARAM_DTYPE (float32), and so are the activations, gradients and Adam
-moments that follow it through the engine; checkpoint records stay
-little-endian float64, which holds every float32 value exactly.
+These functions take the tensors they run and hold none:
+`training.param_shapes` names every parameter, `training.build_model`
+draws or adopts them, and `training.Model` holds them in one named dict.
+Every parameter is PARAM_DTYPE (float32), and so are the activations,
+gradients and Adam moments that follow it through the engine; checkpoint
+records stay little-endian float64, which holds every float32 value exactly.
 """
 from __future__ import annotations
 
@@ -30,12 +26,10 @@ import math
 import re
 import struct
 from collections import Counter
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import engine
-from .engine import Tensor
 
 ENCODER_CHANNELS = (32, 64, 128, 256)
 ENCODER_KERNEL = 4
@@ -57,114 +51,31 @@ class NetworkError(ValueError):
     """Shape mismatch, malformed parameter set, or malformed file."""
 
 
-@dataclass
-class SliceEncoderParams:
-    """Conv stack shared across all slices: list of (kernels, bias)."""
-
-    layers: list
-
-    def tensors(self):
-        out = []
-        for i, (w, b) in enumerate(self.layers):
-            out.append((f"gen.enc{i}.w", w))
-            out.append((f"gen.enc{i}.b", b))
-        return out
-
-
-@dataclass
-class ConvLstmParams:
-    """One cell's parameters, stacked by gate in the order i, f, c, o, as
-    `engine.convlstm` reads them.
-
-    w_x, w_h: (4, C, C, kh, kw) input and recurrent kernels;
-    w_c: (3, C, H, W) Hadamard peepholes of i, f and o; b: (4, C) biases.
-    """
-
-    w_x: Tensor
-    w_h: Tensor
-    w_c: Tensor
-    b: Tensor
-
-    def tensors(self):
-        return [(f"gen.lstm.{n}", getattr(self, n)) for n in ("w_x", "w_h", "w_c", "b")]
-
-
-def _uniform_fan_in(rng, shape, fan_in):
-    s = np.sqrt(1.0 / fan_in)
-    return Tensor(rng.uniform(-s, s, size=shape).astype(PARAM_DTYPE), requires_grad=True)
-
-
-def init_encoder(rng):
-    layers = []
-    prev = 1  # one density channel per slice
-    for c in ENCODER_CHANNELS:
-        fan_in = prev * ENCODER_KERNEL * ENCODER_KERNEL
-        w = _uniform_fan_in(rng, (c, prev, ENCODER_KERNEL, ENCODER_KERNEL), fan_in)
-        b = Tensor(np.zeros(c, PARAM_DTYPE), requires_grad=True)
-        layers.append((w, b))
-        prev = c
-    return SliceEncoderParams(layers)
-
-
-def init_convlstm(rng):
-    channels, side = LSTM_CHANNELS, LSTM_SPATIAL
-    kern = (channels, channels, LSTM_KERNEL, LSTM_KERNEL)
-    fan_in = channels * LSTM_KERNEL * LSTM_KERNEL
-    w_x, w_h, w_c = [], [], []
-    for gate in "ifco":  # this draw order fixes each seed's values
-        w_x.append(_uniform_fan_in(rng, kern, fan_in).data)
-        w_h.append(_uniform_fan_in(rng, kern, fan_in).data)
-        if gate != "c":  # the cell candidate has no peephole
-            w_c.append(_uniform_fan_in(rng, (channels, side, side), channels).data)
-    b = np.zeros((4, channels), PARAM_DTYPE)
-    b[1] = 1.0  # forget-gate bias starts at 1 so early recurrence keeps its state
-    stacked = (np.stack(w_x), np.stack(w_h), np.stack(w_c), b)
-    return ConvLstmParams(*(Tensor(a, requires_grad=True) for a in stacked))
-
-
-def init_mlp(rng, sizes):
-    """Fully connected (weight, bias) layers between successive widths."""
-    layers = []
-    for fan_in, fan_out in zip(sizes, sizes[1:]):
-        w = _uniform_fan_in(rng, (fan_out, fan_in), fan_in)
-        b = Tensor(np.zeros(fan_out, PARAM_DTYPE), requires_grad=True)
-        layers.append((w, b))
-    return layers
-
-
 # ---------------------------------------------------------------------------
 # forward passes (each takes a leading batch axis)
 
 
-def encode_slice(params: SliceEncoderParams, slice_input):
-    """Shared conv stack over a (B, 1, H, W) batch of slices, an array or
-    Tensor; returns the (B, 256, h, w) feature maps, 2x2 for 30x30 slices.
+def encode_slice(layers, slice_input):
+    """Shared conv stack of (kernels, bias) `layers` over a (B, 1, H, W)
+    batch of slices, an array or Tensor; returns the (B, 256, h, w)
+    feature maps, 2x2 for 30x30 slices.
 
     Each slice's (C, h, w) output is scaled to unit root-mean-square, so
     the ConvLSTM sees the same input scale however large the conv
     weights grow; an all-zero feature map stays zero.
     """
     x = slice_input
-    for w, b in params.layers:
+    for w, b in layers:
         x = engine.conv2d(x, w, b, stride=ENCODER_STRIDE)
         x = engine.leaky_rectifier(x, LEAKY_SLOPE)
     return engine.rms_normalize(x, axes=(-3, -2, -1))
 
 
-def convlstm_step(params: ConvLstmParams, x_t, h_prev, c_prev):
-    """One peephole ConvLSTM transition of (B, C, H, W) input and states.
-
-    A length-1 run of the same recurrence as run_convlstm, started from
-    the given states.
-    """
-    features = engine.reshape(x_t, (x_t.shape[0], 1, *x_t.shape[1:]))
-    return engine.convlstm(features, params.w_x, params.w_h, params.w_c, params.b, h_prev, c_prev)
-
-
-def run_convlstm(params: ConvLstmParams, features):
+def run_convlstm(features, w_x, w_h, w_c, b):
     """Fold a (B, T, C, H, W) feature sequence into its (B, C*H*W) final
-    cell state, the shape descriptor."""
-    _, c = engine.convlstm(features, params.w_x, params.w_h, params.w_c, params.b)
+    cell state, the shape descriptor; the four gate-stacked tensors are
+    those `engine.convlstm` takes."""
+    _, c = engine.convlstm(features, w_x, w_h, w_c, b)
     return engine.reshape(c, (c.shape[0], -1))
 
 

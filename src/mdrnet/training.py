@@ -35,9 +35,7 @@ from .network import (
     LSTM_KERNEL,
     LSTM_SPATIAL,
     PARAM_DTYPE,
-    ConvLstmParams,
     NetworkError,
-    SliceEncoderParams,
 )
 from .voxel import DatasetError
 
@@ -130,39 +128,49 @@ _MODE_IDS = {m: i for i, m in enumerate(MODES)}
 
 @dataclass
 class Model:
-    """The one assembled model: `build_model` initialises it, `latent` and
-    `head_logits` run it."""
+    """The one assembled model: `params` maps each parameter's name to its
+    Tensor in `param_shapes` order, and the layer lists below read it.
+    `build_model` draws or adopts it, `latent` and `head_logits` run it."""
 
     mode: str
     n_classes: int
     k: int
-    encoder: SliceEncoderParams
-    lstm: object  # ConvLstmParams or None
-    head: list  # list of (weight, bias) FC layers
+    params: dict
 
     @property
     def uses_lstm(self):
-        return self.lstm is not None
+        return self.mode in LSTM_MODES
 
     @property
     def adversarial(self):
         return self.mode in ADVERSARIAL_MODES
 
+    def _layers(self, prefix):
+        """(weight, bias) pairs of the layers `{prefix}0`, `{prefix}1`, ..."""
+        return [(w, self.params[name[:-1] + "b"]) for name, w in self.params.items()
+                if name.startswith(prefix) and name.endswith(".w")]
+
+    @property
+    def encoder(self):
+        return self._layers("gen.enc")
+
+    @property
+    def lstm(self):
+        """The gate-stacked (w_x, w_h, w_c, b) of the ConvLSTM, or None."""
+        return tuple(t for name, t in self.params.items() if name.startswith("gen.lstm.")) or None
+
+    @property
+    def head(self):
+        return self._layers(f"{_head_prefix(self.mode)}.fc")
+
     def gen_tensors(self):
-        out = self.encoder.tensors()
-        if self.lstm is not None:
-            out += self.lstm.tensors()
-        return out
+        return [(name, t) for name, t in self.params.items() if name.startswith("gen.")]
 
     def head_tensors(self):
-        return [
-            (f"{_head_prefix(self.mode)}.fc{i}.{tag}", t)
-            for i, (w, b) in enumerate(self.head)
-            for tag, t in (("w", w), ("b", b))
-        ]
+        return [(name, t) for name, t in self.params.items() if not name.startswith("gen.")]
 
     def named_tensors(self):
-        return dict(self.gen_tensors() + self.head_tensors())
+        return dict(self.params)
 
     def latent(self, batch):
         """(B, 3k, 30, 30) normalized slice stacks -> (B, 1024) Tensor,
@@ -180,7 +188,7 @@ class Model:
             )
         feats = engine.reshape(feats, (b, t, ch, fh, fw))
         if self.uses_lstm:
-            return network.run_convlstm(self.lstm, feats)
+            return network.run_convlstm(feats, *self.lstm)
         flat = engine.reshape(feats, (b, t, ch * fh * fw))
         return engine.mean_axis(flat, axis=1)
 
@@ -189,11 +197,12 @@ class Model:
         adversarial modes (the extra class marks a descriptor as too
         ambiguous to label), (B, N) otherwise."""
         x = latent
-        fan_in = self.head[0][0].shape[1]
+        head = self.head
+        fan_in = head[0][0].shape[1]
         if x.ndim != 2 or x.shape[1] != fan_in:
             raise NetworkError(f"expected (B, {fan_in}) latents, got {x.shape}")
-        last = len(self.head) - 1
-        for i, (w, b) in enumerate(self.head):
+        last = len(head) - 1
+        for i, (w, b) in enumerate(head):
             x = engine.fully_connected(x, w, b)
             if i < last:
                 x = engine.leaky_rectifier(x, network.LEAKY_SLOPE)
@@ -215,7 +224,8 @@ def _head_sizes(mode, n_classes):
 
 def param_shapes(mode, n_classes):
     """{name: shape} of every parameter of a `build_model` model, in
-    `Model.named_tensors` order; computed, nothing allocated."""
+    `Model.params` order: the one table of parameter names and shapes.
+    The ConvLSTM's tensors are stacked by gate as `engine.convlstm` reads them."""
     shapes, fan_in = {}, 1  # one density channel per slice
     for i, c in enumerate(ENCODER_CHANNELS):
         shapes[f"gen.enc{i}.w"] = (c, fan_in, ENCODER_KERNEL, ENCODER_KERNEL)
@@ -232,6 +242,41 @@ def param_shapes(mode, n_classes):
     return shapes
 
 
+def _draw_params(mode, n_classes, seed):
+    """{name: array} of a fresh model, in `param_shapes` order. Each weight
+    is a float64 draw, uniform in +-sqrt(1/fan-in), rounded to PARAM_DTYPE,
+    in table order; the ConvLSTM's go gate by gate (i, f, c, o): input
+    kernel, recurrent kernel, then the peephole, which c lacks. This order
+    fixes each seed's values. Biases start at zero, the forget gate's at 1
+    so that early recurrence keeps its state."""
+    rng = np.random.default_rng([int(seed) & 0xFFFFFFFFFFFFFFFF, 0x3DA])
+
+    def uniform(shape, fan_in):
+        s = np.sqrt(1.0 / fan_in)
+        return rng.uniform(-s, s, size=shape).astype(PARAM_DTYPE)
+
+    shapes = param_shapes(mode, n_classes)
+    params = {}
+    for name, shape in shapes.items():
+        if name.endswith(".b"):
+            params[name] = np.zeros(shape, PARAM_DTYPE)
+        elif not name.startswith("gen.lstm."):
+            params[name] = uniform(shape, math.prod(shape[1:]))
+        elif name == "gen.lstm.w_x":  # w_h and w_c are drawn with it
+            kern, peep = shape[1:], shapes["gen.lstm.w_c"][1:]
+            w_x, w_h, w_c = [], [], []
+            for gate in "ifco":
+                w_x.append(uniform(kern, math.prod(kern[1:])))
+                w_h.append(uniform(kern, math.prod(kern[1:])))
+                if gate != "c":
+                    w_c.append(uniform(peep, peep[0]))
+            params.update({"gen.lstm.w_x": np.stack(w_x), "gen.lstm.w_h": np.stack(w_h),
+                           "gen.lstm.w_c": np.stack(w_c)})
+    if "gen.lstm.b" in params:
+        params["gen.lstm.b"][1] = 1.0
+    return params
+
+
 def build_model(mode, n_classes, k=3, seed=0, params=None) -> Model:
     """The model of a mode, its parameters drawn from `seed`; or, given
     `params` ({name: array} of every name `param_shapes` lists, each of its
@@ -241,22 +286,9 @@ def build_model(mode, n_classes, k=3, seed=0, params=None) -> Model:
     if n_classes < 2:
         raise ConfigError(f"classification and retrieval need at least 2 classes, got {n_classes}")
     if params is None:
-        rng = np.random.default_rng([int(seed) & 0xFFFFFFFFFFFFFFFF, 0x3DA])
-        encoder = network.init_encoder(rng)
-        lstm = network.init_convlstm(rng) if mode in LSTM_MODES else None
-        head = network.init_mlp(rng, _head_sizes(mode, n_classes))
-        return Model(mode, n_classes, k, encoder, lstm, head)
-    t = {name: Tensor(params[name], requires_grad=True) for name in param_shapes(mode, n_classes)}
-
-    def layers(prefix, n):
-        return [(t[f"{prefix}{i}.w"], t[f"{prefix}{i}.b"]) for i in range(n)]
-
-    encoder = SliceEncoderParams(layers("gen.enc", len(ENCODER_CHANNELS)))
-    lstm = None
-    if mode in LSTM_MODES:
-        lstm = ConvLstmParams(*(t[f"gen.lstm.{n}"] for n in ("w_x", "w_h", "w_c", "b")))
-    head = layers(f"{_head_prefix(mode)}.fc", len(_head_sizes(mode, n_classes)) - 1)
-    return Model(mode, n_classes, k, encoder, lstm, head)
+        params = _draw_params(mode, n_classes, seed)
+    tensors = {name: Tensor(params[name], requires_grad=True) for name in param_shapes(mode, n_classes)}
+    return Model(mode, n_classes, k, tensors)
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +358,7 @@ class Trainer:
         self.opt_head.zero_grad()
         loss.backward()
         try:
-            self.opt_head.step(self.epoch)
+            self.opt_head.step(self.opt_head.lr_at_epoch(self.epoch))
         except engine.NonFiniteGradient as e:
             raise TrainingError(str(e)) from e
         self._latent = (x_batch, z)
@@ -354,8 +386,8 @@ class Trainer:
         eff_gen = self.opt_gen.lr_at_epoch(self.epoch) if lr_gen is None else lr_gen
         try:
             if eff_gen > 0:
-                self.opt_gen.step(lr=eff_gen)
-            self.opt_head.step(self.epoch)
+                self.opt_gen.step(eff_gen)
+            self.opt_head.step(self.opt_head.lr_at_epoch(self.epoch))
         except engine.NonFiniteGradient as e:
             raise TrainingError(str(e)) from e
         return self._check_finite(loss.item()), correct
@@ -411,8 +443,7 @@ class Trainer:
             "/meta/readout_id": np.float64(0),  # the cell state; kept for the record layout
             "/meta/epoch": np.float64(self.epoch),
         }
-        for name, t in self.model.named_tensors().items():
-            records[name] = t.data
+        records.update((name, t.data) for name, t in self.model.params.items())
         for group, opt, tensors in (("gen", self.opt_gen, self.model.gen_tensors()),
                                     ("head", self.opt_head, self.model.head_tensors())):
             records[f"/opt/{group}.t"] = np.float64(opt.state.t)

@@ -4,7 +4,6 @@ import pytest
 
 from mdrnet import engine, network
 from mdrnet.engine import Tensor
-from mdrnet.network import ConvLstmParams
 
 
 def naive_conv2d(x, w, b, stride):
@@ -102,8 +101,9 @@ def add(a, b):
 
 
 def make_tiny_lstm(rng, channels=4, spatial=2, kernel=3, scale=1.0):
-    """Gate-stacked ConvLSTM parameters, drawn gate by gate (i, f, c, o):
-    input kernel, recurrent kernel, then the peephole (none for c)."""
+    """Gate-stacked ConvLSTM Tensors (w_x, w_h, w_c, b), as `engine.convlstm`
+    takes them, drawn gate by gate (i, f, c, o): input kernel, recurrent
+    kernel, then the peephole (none for c)."""
     w_x, w_h, w_c = [], [], []
     for gate in "ifco":
         w_x.append(scale * rng.normal(size=(channels, channels, kernel, kernel)))
@@ -112,12 +112,12 @@ def make_tiny_lstm(rng, channels=4, spatial=2, kernel=3, scale=1.0):
             w_c.append(scale * rng.normal(size=(channels, spatial, spatial)))
     b = np.zeros((4, channels))
     b[1] = 1.0
-    return ConvLstmParams(*(Tensor(a, requires_grad=True)
-                            for a in (np.stack(w_x), np.stack(w_h), np.stack(w_c), b)))
+    return tuple(Tensor(a, requires_grad=True) for a in (np.stack(w_x), np.stack(w_h), np.stack(w_c), b))
 
 
 def scalar_convlstm_step(p, x, h, c):
-    """Scalar-loop reference for one ConvLSTM transition (single sample)."""
+    """Scalar-loop reference for one ConvLSTM transition (single sample) of
+    the gate-stacked parameter Tensors `p`."""
 
     def conv(inp, w):
         ch, H, W = inp.shape
@@ -140,7 +140,8 @@ def scalar_convlstm_step(p, x, h, c):
     def sig(z):
         return 1.0 / (1.0 + np.exp(-z))
 
-    w_x, w_h, w_c, b = p.w_x.data, p.w_h.data, p.w_c.data, p.b.data[:, :, None, None]
+    w_x, w_h, w_c, b = (t.data for t in p)
+    b = b[:, :, None, None]
     i = sig(conv(x, w_x[0]) + conv(h, w_h[0]) + w_c[0] * c + b[0])
     f = sig(conv(x, w_x[1]) + conv(h, w_h[1]) + w_c[1] * c + b[1])
     cn = f * c + i * np.tanh(conv(x, w_x[2]) + conv(h, w_h[2]) + b[2])
@@ -149,6 +150,7 @@ def scalar_convlstm_step(p, x, h, c):
 
 
 def make_tiny_encoder(rng, channels=(2, 4), scale=0.5):
+    """(kernels, bias) Tensor pairs of a downsized slice encoder."""
     layers = []
     prev = 1
     for c in channels:
@@ -156,7 +158,7 @@ def make_tiny_encoder(rng, channels=(2, 4), scale=0.5):
         b = Tensor(scale * rng.normal(size=c), requires_grad=True)
         layers.append((w, b))
         prev = c
-    return network.SliceEncoderParams(layers)
+    return layers
 
 
 def gradient_suite_cases(rng):
@@ -212,15 +214,12 @@ def gradient_suite_cases(rng):
     w1, b1 = rng.normal(size=(5, 16)) * 0.4, np.zeros(5)
     w2, b2 = rng.normal(size=(3, 5)) * 0.4, np.zeros(3)
     mdr_in = rng.uniform(0, 1, (1, 3, 6, 6))
-    lstm_names = [n.split(".")[-1] for n, _ in lstm.tensors()]
-    lstm_arrays = [t.data for _, t in lstm.tensors()]
+    lstm_arrays = [t.data for t in lstm]
 
     def end_to_end(ts):
         it = iter(ts)
-        layers = [(next(it), next(it)) for _ in enc.layers]
-        lp = network.ConvLstmParams(
-            **dict(zip(lstm_names, [next(it) for _ in lstm_arrays]))
-        )
+        layers = [(next(it), next(it)) for _ in enc]
+        lp = [next(it) for _ in lstm_arrays]
         wa, ba, wb, bb = next(it), next(it), next(it), next(it)
         x = next(it)
         b, t, hh, ww = x.shape
@@ -229,11 +228,11 @@ def gradient_suite_cases(rng):
             feats = engine.leaky_rectifier(engine.conv2d(feats, w, bias, stride=2), 0.2)
         feats = engine.rms_normalize(feats, axes=(-3, -2, -1))
         _, ch, fh, fw = feats.shape
-        z = network.run_convlstm(lp, engine.reshape(feats, (b, t, ch, fh, fw)))
+        z = network.run_convlstm(engine.reshape(feats, (b, t, ch, fh, fw)), *lp)
         h = engine.leaky_rectifier(engine.fully_connected(z, wa, ba), 0.2)
         return engine.softmax_cross_entropy(engine.fully_connected(h, wb, bb), np.array([1]))
 
-    enc_arrays = [a for w, b in enc.layers for a in (w.data, b.data)]
+    enc_arrays = [a for w, b in enc for a in (w.data, b.data)]
     cases.append(("end_to_end", end_to_end, enc_arrays + lstm_arrays + [w1, b1, w2, b2, mdr_in]))
     return cases
 

@@ -75,10 +75,8 @@ def test_convlstm_against_scalar_reference(report):
         x = rng.normal(size=(4, 2, 2))
         h0 = rng.normal(size=(4, 2, 2))
         c0 = rng.normal(size=(4, 2, 2))
-        with engine.no_grad():
-            h, c = network.convlstm_step(
-                p, Tensor(x[None]), Tensor(h0[None]), Tensor(c0[None])
-            )
+        with engine.no_grad():  # one transition: a length-1 sequence from given states
+            h, c = engine.convlstm(x[None, None], *p, h0[None], c0[None])
         h_ref, c_ref = scalar_convlstm_step(p, x, h0, c0)
         denom = max(np.abs(h_ref).max(), np.abs(c_ref).max(), 1.0)
         worst = max(
@@ -89,13 +87,12 @@ def test_convlstm_against_scalar_reference(report):
 
     # zero weights: gates sit at sigmoid(0) = 1/2, so the state halves
     p = make_tiny_lstm(rng)
-    for _, t in p.tensors():
+    for t in p:
         t.data = np.zeros_like(t.data)
     c_prev = rng.normal(size=(1, 4, 2, 2))
     with engine.no_grad():
-        h, c = network.convlstm_step(
-            p, Tensor(rng.normal(size=(1, 4, 2, 2))),
-            Tensor(np.zeros((1, 4, 2, 2))), Tensor(c_prev),
+        h, c = engine.convlstm(
+            rng.normal(size=(1, 4, 2, 2))[:, None], *p, np.zeros((1, 4, 2, 2)), c_prev
         )
     closed_form = np.array_equal(c.data, 0.5 * c_prev) and np.array_equal(
         h.data, 0.5 * np.tanh(0.5 * c_prev)

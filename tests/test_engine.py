@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdrnet import engine, network
+from mdrnet import engine, network, training
 from mdrnet.engine import (
     Adam,
     AdamState,
@@ -24,6 +24,7 @@ from conftest import (
     loop_unroll,
     naive_conv2d,
     naive_conv2d_backward,
+    scalar_convlstm_step,
 )
 
 
@@ -219,7 +220,7 @@ class TestConv2d:
             return outputs[-1]
 
         monkeypatch.setattr(engine, "conv2d", recording_conv2d)
-        network.encode_slice(network.init_encoder(rng), rng.uniform(size=(3, 1, 30, 30)))
+        network.encode_slice(training.build_model("cnn_only", 2).encoder, rng.uniform(size=(3, 1, 30, 30)))
         shapes = [o.shape[1:] for o in outputs]
         assert shapes == [(32, 15, 15), (64, 8, 8), (128, 4, 4), (256, 2, 2)]
         for out in outputs:
@@ -244,7 +245,7 @@ class TestConv2d:
     def test_forward_only_encoder_never_holds_a_whole_patch_matrix(self, rng):
         """576 slices, one 64-shape extract batch: enc1's full patch matrix
         alone would be 36,864 x 512 float64 (151 MB)."""
-        params = network.init_encoder(rng)
+        params = training.build_model("cnn_only", 2).encoder
         x = rng.uniform(size=(576, 1, 30, 30))
         tracemalloc.start()
         try:
@@ -258,7 +259,7 @@ class TestConv2d:
     def test_recorded_encoder_holds_padded_inputs_not_patch_rows(self, rng):
         """288 slices, one B=32, k=3 training batch: enc1's patch rows alone
         would be 18,432 x 512 float64 (75 MB), its padded input 24 MB."""
-        params = network.init_encoder(rng)
+        params = training.build_model("cnn_only", 2).encoder
         x = rng.uniform(size=(288, 1, 30, 30))
         tracemalloc.start()
         try:
@@ -272,7 +273,7 @@ class TestConv2d:
     def test_encoder_backward_never_holds_a_whole_input_gradient_matrix(self, rng):
         """288 slices, one B=32, k=3 training batch: enc1's whole input
         gradient matrix alone would be 18,432 x 512 float64 (75 MB)."""
-        params = network.init_encoder(rng)
+        params = training.build_model("cnn_only", 2).encoder
         out = network.encode_slice(params, rng.uniform(size=(288, 1, 30, 30)))
         loss = linear_readout(out, Tensor(rng.normal(size=(1, out.size))))
         tracemalloc.start()
@@ -408,6 +409,61 @@ class TestUnrollFold:
         lhs = np.vdot(engine._fold(dense, taps, kernels.shape), kernels)
         rhs = np.vdot(dense, engine._unroll(kernels, taps))
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
+
+
+class TestConvLstm:
+    """`engine.convlstm` on drawn sizes: batch 1-2, maps 1x1 to 3x3 (H and W
+    drawn apart; a 3-cell side has pairs the 3x3 kernel does not reach),
+    T 1-4, each with and without `h0` and `c0`."""
+
+    @staticmethod
+    def draw_case(data, max_channels):
+        """(x, [w_x, w_h, w_c, b], h0, c0) arrays; an absent start is None."""
+        b, c = data.draw(st.integers(1, 2)), data.draw(st.integers(1, max_channels))
+        t, h, w = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        with_h0, with_c0 = data.draw(st.booleans()), data.draw(st.booleans())
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        # at scale 0.5 few gates saturate, so every term moves the outputs
+        params = [0.5 * rng.normal(size=s) for s in ((4, c, c, 3, 3), (4, c, c, 3, 3), (3, c, h, w), (4, c))]
+        x = rng.normal(size=(b, t, c, h, w))
+        h0, c0 = (rng.normal(size=(b, c, h, w)) if given else None for given in (with_h0, with_c0))
+        return x, params, h0, c0
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_drawn_sequences_match_scalar_reference(self, data):
+        """Both final states against a loop of `conftest.scalar_convlstm_step`,
+        which starts an absent state from zeros."""
+        x, params, h0, c0 = self.draw_case(data, max_channels=3)
+        with engine.no_grad():
+            h, c = engine.convlstm(x, *params, h0, c0)
+        p = [Tensor(a) for a in params]
+        for i, seq in enumerate(x):
+            h_ref = np.zeros(seq.shape[1:]) if h0 is None else h0[i]
+            c_ref = np.zeros(seq.shape[1:]) if c0 is None else c0[i]
+            for x_t in seq:
+                h_ref, c_ref = scalar_convlstm_step(p, x_t, h_ref, c_ref)
+            denom = max(np.abs(h_ref).max(), np.abs(c_ref).max(), 1.0)
+            assert np.abs(h.data[i] - h_ref).max() / denom < 1e-10
+            assert np.abs(c.data[i] - c_ref).max() / denom < 1e-10
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.data())
+    def test_drawn_sequences_pass_grad_check(self, data):
+        """Every input's gradient, `h0` and `c0` included, against finite
+        differences at the suite's 1e-4; both outputs reach the loss."""
+        x, params, h0, c0 = self.draw_case(data, max_channels=2)
+        starts = [s is not None for s in (h0, c0)]
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        readouts = [Tensor(rng.normal(size=(1, x[:, 0].size))) for _ in range(2)]
+
+        def f(ts):
+            given = iter(ts[5:])
+            outs = engine.convlstm(*ts[:5], *(next(given) if s else None for s in starts))
+            return add(*(linear_readout(out, r) for out, r in zip(outs, readouts)))
+
+        report = grad_check(f, [x, *params, *(s for s in (h0, c0) if s is not None)], tolerance=1e-4)
+        assert report.passed, report
 
 
 class TestRmsNormalize:

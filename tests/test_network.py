@@ -8,7 +8,6 @@ from mdrnet.engine import Tensor, grad_check
 from mdrnet.network import (
     DESCRIPTOR_DIM,
     NetworkError,
-    convlstm_step,
     encode_slice,
     load_descriptors,
     load_records,
@@ -20,8 +19,8 @@ from mdrnet.training import build_model
 from conftest import add, make_tiny_encoder, make_tiny_lstm, scalar_convlstm_step
 
 
-def zero_params(param_obj):
-    for _, t in param_obj.tensors():
+def zero_params(tensors):
+    for t in tensors:
         t.data = np.zeros_like(t.data)
 
 
@@ -61,13 +60,15 @@ class TestEncodeSlice:
 
 
 class TestConvLstmStep:
+    """One transition: `engine.convlstm` over a length-1 sequence from given states."""
+
     def test_zero_everything_gives_half_gates(self, rng):
         p = make_tiny_lstm(rng)
         zero_params(p)
-        x = Tensor(rng.normal(size=(1, 4, 2, 2)))
-        zeros = Tensor(np.zeros((1, 4, 2, 2)))
+        x = rng.normal(size=(1, 4, 2, 2))
+        zeros = np.zeros((1, 4, 2, 2))
         with engine.no_grad():
-            h, c = convlstm_step(p, x, zeros, zeros)
+            h, c = engine.convlstm(x[:, None], *p, zeros, zeros)
         assert not c.data.any()
         assert not h.data.any()
 
@@ -75,9 +76,9 @@ class TestConvLstmStep:
         p = make_tiny_lstm(rng)
         zero_params(p)
         c_prev = rng.normal(size=(1, 4, 2, 2))
-        x = Tensor(rng.normal(size=(1, 4, 2, 2)))
+        x = rng.normal(size=(1, 4, 2, 2))
         with engine.no_grad():
-            h, c = convlstm_step(p, x, Tensor(np.zeros((1, 4, 2, 2))), Tensor(c_prev))
+            h, c = engine.convlstm(x[:, None], *p, np.zeros((1, 4, 2, 2)), c_prev)
         assert np.array_equal(c.data, 0.5 * c_prev)
         assert np.array_equal(h.data, 0.5 * np.tanh(0.5 * c_prev))
 
@@ -88,7 +89,7 @@ class TestConvLstmStep:
             h0 = rng.normal(size=(4, 2, 2))
             c0 = rng.normal(size=(4, 2, 2))
             with engine.no_grad():
-                h, c = convlstm_step(p, Tensor(x[None]), Tensor(h0[None]), Tensor(c0[None]))
+                h, c = engine.convlstm(x[None, None], *p, h0[None], c0[None])
             h_ref, c_ref = scalar_convlstm_step(p, x, h0, c0)
             denom = max(np.abs(h_ref).max(), np.abs(c_ref).max(), 1.0)
             assert np.abs(h.data[0] - h_ref).max() / denom < 1e-10
@@ -96,13 +97,13 @@ class TestConvLstmStep:
 
     def test_gate_ranges_and_state_bounds(self, rng):
         p = make_tiny_lstm(rng, scale=3.0)
-        x = Tensor(rng.normal(size=(1, 4, 2, 2)) * 5)
+        x = rng.normal(size=(1, 4, 2, 2)) * 5
         h = Tensor(np.zeros((1, 4, 2, 2)))
         c = Tensor(np.zeros((1, 4, 2, 2)))
         with engine.no_grad():
             for _ in range(20):
                 c_prev = c.data.copy()
-                h, c = convlstm_step(p, x, h, c)
+                h, c = engine.convlstm(x[:, None], *p, h, c)
                 assert (np.abs(c.data) <= np.abs(c_prev) + 1.0 + 1e-12).all()
                 # strict in exact arithmetic; sigmoid/tanh saturate to 1.0 in float
                 assert (np.abs(h.data) <= 1.0).all()
@@ -115,7 +116,7 @@ class TestRunConvLstm:
             p = make_tiny_lstm(rng, spatial=spatial)
             feats = rng.normal(size=(2, 4, 4, spatial, spatial))
             with engine.no_grad():
-                got = network.run_convlstm(p, Tensor(feats)).data
+                got = network.run_convlstm(Tensor(feats), *p).data
             for b in range(2):
                 h = c = np.zeros((4, spatial, spatial))
                 for t in range(4):
@@ -144,14 +145,11 @@ class TestConvLstmGradients:
 
     @staticmethod
     def _check(rng, spatial):
-        lstm = make_tiny_lstm(rng, spatial=spatial, scale=0.4)
-        names = [n.split(".")[-1] for n, _ in lstm.tensors()]
-        arrays = [t.data for _, t in lstm.tensors()]
+        arrays = [t.data for t in make_tiny_lstm(rng, spatial=spatial, scale=0.4)]
         loss = _lstm_loss(rng, 4 * spatial * spatial)
 
         def f(ts):
-            lp = network.ConvLstmParams(**dict(zip(names, ts[:-1])))
-            return loss(network.run_convlstm(lp, ts[-1]))
+            return loss(network.run_convlstm(ts[-1], *ts[:-1]))
 
         feats = rng.normal(size=(2, 3, 4, spatial, spatial))
         report = grad_check(f, arrays + [feats], tolerance=1e-4)
@@ -161,27 +159,24 @@ class TestConvLstmGradients:
         self._check(rng, spatial=3)
 
     def test_step_from_nonzero_states(self, rng):
-        lstm = make_tiny_lstm(rng, scale=0.4)
-        names = [n.split(".")[-1] for n, _ in lstm.tensors()]
-        arrays = [t.data for _, t in lstm.tensors()]
+        arrays = [t.data for t in make_tiny_lstm(rng, scale=0.4)]
         loss = _lstm_loss(rng, 16)
 
         def f(ts):
-            lp = network.ConvLstmParams(**dict(zip(names, ts[:-3])))
-            h, c = convlstm_step(lp, *ts[-3:])
+            x, h0, c0 = ts[-3:]
+            h, c = engine.convlstm(x, *ts[:-3], h0, c0)
             # both outputs reach the loss, so both backward walks run
             return loss(engine.reshape(h, (2, -1)), engine.reshape(c, (2, -1)))
 
         x, h0, c0 = (rng.normal(size=(2, 4, 2, 2)) for _ in range(3))
-        report = grad_check(f, arrays + [x, h0, c0], tolerance=1e-4)
+        report = grad_check(f, arrays + [x[:, None], h0, c0], tolerance=1e-4)
         assert report.passed, report
 
 
 class TestGenerateDescriptor:
     def test_zero_input_zero_params_gives_zero(self):
         model = build_model("full", 4, seed=0)
-        zero_params(model.encoder)
-        zero_params(model.lstm)
+        zero_params(t for _, t in model.gen_tensors())
         desc = descriptor(model, np.zeros((9, 30, 30)))
         assert desc.shape == (DESCRIPTOR_DIM,)
         assert not desc.any()
@@ -250,11 +245,11 @@ class TestInitParams:
 
     def test_forget_bias_ones_other_biases_zero(self):
         model = build_model("full", 4, seed=0)
-        i, f, c, o = model.lstm.b.data
+        i, f, c, o = model.params["gen.lstm.b"].data
         assert np.array_equal(f, np.ones(256))
         for gate_bias in (i, c, o):
             assert not gate_bias.any()
-        for _, b in model.encoder.layers:
+        for _, b in model.encoder:
             assert not b.data.any()
         for _, b in model.head:
             assert not b.data.any()
@@ -286,14 +281,13 @@ class TestEndToEndGradient:
         b2 = np.zeros(3)
         mdr = rng.uniform(0, 1, (1, 3, 6, 6))
 
-        enc_arrays = [a for w, b in enc.layers for a in (w.data, b.data)]
-        lstm_names = [n.split(".")[-1] for n, _ in lstm.tensors()]
-        lstm_arrays = [t.data for _, t in lstm.tensors()]
+        enc_arrays = [a for w, b in enc for a in (w.data, b.data)]
+        lstm_arrays = [t.data for t in lstm]
 
         def f(ts):
             it = iter(ts)
-            layers = [(next(it), next(it)) for _ in enc.layers]
-            lp = network.ConvLstmParams(**dict(zip(lstm_names, [next(it) for _ in lstm_arrays])))
+            layers = [(next(it), next(it)) for _ in enc]
+            lp = [next(it) for _ in lstm_arrays]
             wa, ba, wb, bb = next(it), next(it), next(it), next(it)
             x = next(it)
             b, t, hh, ww = x.shape
@@ -303,7 +297,7 @@ class TestEndToEndGradient:
             feats = engine.rms_normalize(feats, axes=(-3, -2, -1))
             _, ch, fh, fw = feats.shape
             feats = engine.reshape(feats, (b, t, ch, fh, fw))
-            z = network.run_convlstm(lp, feats)
+            z = network.run_convlstm(feats, *lp)
             h = engine.leaky_rectifier(engine.fully_connected(z, wa, ba), 0.2)
             logits = engine.fully_connected(h, wb, bb)
             return engine.softmax_cross_entropy(logits, np.array([1]))

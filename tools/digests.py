@@ -12,7 +12,7 @@ digits of the SHA-256 of
   of `build_synthetic_dataset(SYNTHETIC_CLASSES, 8, 3)` with batch size 8
   and seed 7, and what `Trainer.restore` of the 2-epoch checkpoint saves
   again, which must equal it (the only digest that covers restored Adam
-  moments);
+  moments): the script exits non-zero, naming the mode, where it does not;
 - the DDSD bytes of `Trainer.extract` over one batch of 64 shapes
   (`build_synthetic_dataset(SYNTHETIC_CLASSES, 16, 3)`, all splits, a
   seed-7 `full` model): 576 slices per encoder conv, so `enc0`-`enc2`
@@ -65,6 +65,8 @@ def checkpoint_digests():
         data = trainer.save()
         restored = short(training.Trainer.restore(data).save())
         print(f"checkpoint {mode:8s} epoch 0 {initial}  2 epochs {short(data)}  restored {restored}")
+        if restored != short(data):
+            sys.exit(f"checkpoint {mode}: the restored checkpoint saves as {restored}, not {short(data)}")
 
 
 def extract_digest():
