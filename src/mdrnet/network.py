@@ -17,14 +17,14 @@ These functions take the tensors they run and hold none:
 draws or adopts them, and `training.Model` holds them in one named dict.
 Every parameter is PARAM_DTYPE (float32), and so are the activations,
 gradients and Adam moments that follow it through the engine; checkpoint
-records stay little-endian float64, which holds every float32 value exactly.
+records are that float32, little-endian, behind a CRC32 of the file.
 """
 from __future__ import annotations
 
-import io
 import math
 import re
 import struct
+import zlib
 from collections import Counter
 
 import numpy as np
@@ -42,9 +42,10 @@ LEAKY_SLOPE = 0.2
 # the dtype of every parameter; initial values are float64 draws rounded to it
 PARAM_DTYPE = np.float32
 
-# MDRNET1 checkpoints predate the feature normalization in encode_slice:
-# their weights would give different descriptors, so they are refused.
-CHECKPOINT_MAGIC = b"MDRNET2"
+# Refused: MDRNET1 checkpoints predate the feature normalization in
+# encode_slice, so their weights would give different descriptors; MDRNET2
+# ones hold float64 records and no checksum.
+CHECKPOINT_MAGIC = b"MDRNET3"
 
 
 class NetworkError(ValueError):
@@ -84,59 +85,58 @@ def run_convlstm(features, w_x, w_h, w_c, b):
 
 
 def save_records(records):
-    """Serialize an ordered {name: float array} mapping: per record the
-    name length, UTF-8 name, rank and shape as little-endian u32s, then
-    the values as little-endian float64, which a float32 array widens to
-    exactly. Each array is widened straight into one output buffer of the
-    file's size, so no widened copy of a record is ever held."""
-    heads = []
+    """Serialize an ordered {name: float array} mapping: the magic; per
+    record the name length, UTF-8 name, rank and shape as little-endian
+    u32s, then the values as C-order little-endian float32; last a
+    little-endian u32 CRC32 of every byte before it. The model's float32
+    arrays are joined as they are, with no widened or staged copy.
+    A count record (mode, n_classes, k, epoch, Adam t) is an integer below
+    2^24, which float32 holds exactly."""
+    parts = [CHECKPOINT_MAGIC]
     for name, array in records.items():
         nb = name.encode("utf-8")
-        array = np.asarray(array)
-        heads.append((struct.pack(f"<I{len(nb)}sI{array.ndim}I", len(nb), nb, array.ndim, *array.shape), array))
-    size = len(CHECKPOINT_MAGIC) + sum(len(head) + 8 * array.size for head, array in heads)
-    out = io.BytesIO()
-    out.seek(size - 1)
-    out.write(b"\0")  # sizes the buffer once
-    with out.getbuffer() as buf:
-        pos = len(CHECKPOINT_MAGIC)
-        buf[:pos] = CHECKPOINT_MAGIC
-        for head, array in heads:
-            buf[pos : pos + len(head)] = head
-            pos += len(head)
-            np.frombuffer(buf, "<f8", array.size, pos)[...] = array.reshape(-1)
-            pos += 8 * array.size
-    return out.getvalue()
+        array = np.asarray(array, "<f4", order="C")
+        parts += (struct.pack(f"<I{len(nb)}sI{array.ndim}I", len(nb), nb, array.ndim, *array.shape), array)
+    crc = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    parts.append(struct.pack("<I", crc))
+    return b"".join(parts)
 
 
 def load_records(data):
-    """Inverse of save_records as read-only float64 views of `data`; a
-    truncated record or a non-UTF-8 name is a NetworkError, but a cut
-    between two records is not."""
+    """Inverse of save_records as read-only float32 views of `data`. The
+    checksum is checked first, so a changed byte or a cut anywhere is a
+    NetworkError; in bytes whose checksum holds, so is a truncated record,
+    a non-UTF-8 name or a name that appears twice."""
     if data[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
         raise NetworkError("bad checkpoint magic")
     view = memoryview(data).toreadonly()
-    pos = len(CHECKPOINT_MAGIC)
+    pos, end = len(CHECKPOINT_MAGIC), len(view) - 4
+    if end < pos or zlib.crc32(view[:end]) != int.from_bytes(view[end:], "little"):
+        raise NetworkError("checkpoint checksum does not match: the file is corrupt or cut short")
 
     def take(nbytes, what):
         nonlocal pos
-        if nbytes > len(view) - pos:
+        if nbytes > end - pos:
             raise NetworkError(f"checkpoint truncated in {what} at byte {pos}")
         pos += nbytes
         return view[pos - nbytes : pos]
 
     records = {}
-    while pos < len(view):
+    while pos < end:
         (nlen,) = struct.unpack("<I", take(4, "a record name length"))
         try:
             name = str(take(nlen, "a record name"), "utf-8")
         except UnicodeDecodeError as e:
             raise NetworkError(f"record name before byte {pos} is not UTF-8") from e
+        if name in records:
+            raise NetworkError(f"checkpoint repeats record {name}")
         (ndim,) = struct.unpack("<I", take(4, f"the rank of {name}"))
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim, f"the shape of {name}"))
-        payload = take(8 * math.prod(shape), f"the values of {name}")
+        payload = take(4 * math.prod(shape), f"the values of {name}")
         try:
-            records[name] = np.frombuffer(payload, dtype="<f8").reshape(shape)
+            records[name] = np.frombuffer(payload, dtype="<f4").reshape(shape)
         except ValueError as e:  # a rank numpy cannot hold
             raise NetworkError(f"record {name} has rank {ndim}: {e}") from e
     return records

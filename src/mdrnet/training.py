@@ -437,16 +437,15 @@ class Trainer:
 
     def to_records(self):
         records = {
-            "/meta/mode_id": np.float64(_MODE_IDS[self.model.mode]),
-            "/meta/n_classes": np.float64(self.model.n_classes),
-            "/meta/k": np.float64(self.model.k),
-            "/meta/readout_id": np.float64(0),  # the cell state; kept for the record layout
-            "/meta/epoch": np.float64(self.epoch),
+            "/meta/mode_id": PARAM_DTYPE(_MODE_IDS[self.model.mode]),
+            "/meta/n_classes": PARAM_DTYPE(self.model.n_classes),
+            "/meta/k": PARAM_DTYPE(self.model.k),
+            "/meta/epoch": PARAM_DTYPE(self.epoch),
         }
         records.update((name, t.data) for name, t in self.model.params.items())
         for group, opt, tensors in (("gen", self.opt_gen, self.model.gen_tensors()),
                                     ("head", self.opt_head, self.model.head_tensors())):
-            records[f"/opt/{group}.t"] = np.float64(opt.state.t)
+            records[f"/opt/{group}.t"] = PARAM_DTYPE(opt.state.t)
             for (pname, _), m, v in zip(tensors, opt.state.m, opt.state.v):
                 records[f"/opt/{pname}.m"] = m
                 records[f"/opt/{pname}.v"] = v
@@ -463,10 +462,9 @@ class Trainer:
         A missing or misshapen record, an out-of-range count, or a config
         differing in mode or k is a NetworkError raised before any array
         is allocated; a record that `to_records` does not write is one
-        too. Each parameter and Adam moment is one copy of its record,
-        rounded to PARAM_DTYPE, which `build_model` and `Adam` adopt:
-        nothing is drawn from the RNG or zero-filled only to be
-        overwritten. A record this version saved rounds back exactly."""
+        too. Each parameter and Adam moment is one owned copy of its
+        float32 record, which `build_model` and `Adam` adopt: nothing is
+        drawn from the RNG or zero-filled only to be overwritten."""
         records = network.load_records(data)
 
         def record(name, shape):
@@ -485,7 +483,6 @@ class Trainer:
         mode = MODES[count("/meta/mode_id", 0, len(MODES) - 1)]
         n_classes = count("/meta/n_classes", 1)
         k = count("/meta/k", 1)
-        count("/meta/readout_id", 0, 0)  # 1 marked a hidden-state descriptor, no longer built
         if config is None:
             config = TrainConfig(mode=mode, k=k)
         for name, saved, given in (("/meta/mode_id", mode, config.mode), ("/meta/k", k, config.k)):

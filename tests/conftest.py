@@ -1,4 +1,7 @@
 """Shared oracles and downsized model builders for the test suite."""
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -235,6 +238,12 @@ def gradient_suite_cases(rng):
     enc_arrays = [a for w, b in enc for a in (w.data, b.data)]
     cases.append(("end_to_end", end_to_end, enc_arrays + lstm_arrays + [w1, b1, w2, b2, mdr_in]))
     return cases
+
+
+def seal(body):
+    """`body` with the CRC32 trailer a checkpoint ends in, so crafted
+    record bytes reach the record parser."""
+    return bytes(body) + struct.pack("<I", zlib.crc32(body))
 
 
 @pytest.fixture

@@ -9,6 +9,8 @@ import pytest
 from mdrnet import cli, voxel
 from mdrnet.cli import main
 
+from conftest import seal
+
 
 def read_tree(root):
     return {
@@ -225,18 +227,23 @@ class TestTrainExtractEval:
 
         data = (run_dir / "checkpoint.mdrnet").read_bytes()
         old = tmp_path / "old.mdrnet"
-        old.write_bytes(b"MDRNET1" + data[len(network.CHECKPOINT_MAGIC):])
-        for cmd in ("extract", "eval"):
-            rc = main([
-                cmd, "--checkpoint", str(old),
-                "--data", str(dataset_dir), "--out", str(tmp_path / cmd),
-            ])
-            assert rc == cli.EXIT_USAGE
+        for magic in (b"MDRNET1", b"MDRNET2"):
+            old.write_bytes(magic + data[len(network.CHECKPOINT_MAGIC):])
+            for cmd in ("extract", "eval"):
+                rc = main([
+                    cmd, "--checkpoint", str(old),
+                    "--data", str(dataset_dir), "--out", str(tmp_path / cmd),
+                ])
+                assert rc == cli.EXIT_USAGE, (magic, cmd)
 
     def test_truncated_checkpoint_usage_error(self, dataset_dir, run_dir, tmp_path):
+        from mdrnet import network
+
         data = (run_dir / "checkpoint.mdrnet").read_bytes()
-        # inside the first name length, the first name, and the last payload
-        for cut in (9, 15, len(data) - 1):
+        first = len(network.save_records({"/meta/mode_id": 0})) - 4
+        # inside the first name length and the first name, between the first
+        # two records, before and inside the checksum
+        for cut in (9, 15, first, len(data) - 4, len(data) - 1):
             cut_path = tmp_path / f"cut{cut}.mdrnet"
             cut_path.write_bytes(data[:cut])
             for cmd in ("extract", "eval"):
@@ -413,7 +420,7 @@ def bad_inputs(dataset_dir, bad_manifests, tmp_path_factory):
 
     cases = {}
     for name, value in [
-        ("/meta/mode_id", 9), ("/meta/mode_id", -1), ("/meta/readout_id", 5), ("/meta/readout_id", 1),
+        ("/meta/mode_id", 9), ("/meta/mode_id", -1),
         ("/meta/n_classes", 4.5), ("/meta/epoch", -3), ("/meta/k", 4), ("/opt/gen.t", None),
     ]:
         records = network.load_records(good)
@@ -466,6 +473,13 @@ def bad_inputs(dataset_dir, bad_manifests, tmp_path_factory):
     extra = {**network.load_records(good), "gen.extra": np.zeros(3)}
     (tmp / "extra.mdrnet").write_bytes(network.save_records(extra))
     cases["checkpoint_extra_record"] = extract(tmp / "extra.mdrnet")
+    flipped = bytearray(good)
+    flipped[len(good) // 2] ^= 0x10
+    (tmp / "flipped.mdrnet").write_bytes(flipped)
+    cases["checkpoint_flipped_byte"] = extract(tmp / "flipped.mdrnet")
+    again = network.save_records({"gen.enc0.b": np.ones(32)})[len(network.CHECKPOINT_MAGIC) : -4]
+    (tmp / "repeated.mdrnet").write_bytes(seal(good[:-4] + again))
+    cases["checkpoint_repeated_record"] = extract(tmp / "repeated.mdrnet")
 
     (tmp / "nul").mkdir()
     (tmp / "nul" / "manifest.tsv").write_bytes(b"s\x00.binvox\tc\ttest\n")
@@ -500,8 +514,7 @@ def bad_inputs(dataset_dir, bad_manifests, tmp_path_factory):
 
 
 BAD_INPUTS = [
-    "checkpoint/meta/mode_id=9", "checkpoint/meta/mode_id=-1", "checkpoint/meta/readout_id=5",
-    "checkpoint/meta/readout_id=1",
+    "checkpoint/meta/mode_id=9", "checkpoint/meta/mode_id=-1",
     "checkpoint/meta/n_classes=4.5", "checkpoint/meta/epoch=-3", "checkpoint/meta/k=4",
     "checkpoint/opt/gen.t=None", "binvox_dim_0", "mdr_export_k0", "mdr_export_30x30x60", "extract_30x30x60",
     "extract_mixed", "extract_cube36", "extract_cube60", "eval_no_relevant_item",
@@ -509,7 +522,7 @@ BAD_INPUTS = [
     "config_not_utf8", "checkpoint_per_gate_lstm", "manifest_nul_path", "manifest_alias", "manifest_id_twice",
     "manifest_parent", "manifest_absolute", "train_manifest_alias", "synth_repeated_class",
     "train_one_class_cnn_only", "train_one_class_full", "checkpoint_extra_record", "config_repeated_key",
-    "config_decay_underflow", "synth_no_class",
+    "config_decay_underflow", "synth_no_class", "checkpoint_flipped_byte", "checkpoint_repeated_record",
 ]
 
 

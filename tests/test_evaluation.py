@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdrnet import evaluation
 from mdrnet.evaluation import (
@@ -276,7 +278,35 @@ def tie_hard_table():
     return ids, base, labels
 
 
+@st.composite
+def tie_tables(draw):
+    """Small tables, near the origin or far from it, in which rows are
+    overwritten by copies of others, each kept exact or moved one ulp
+    (`nextafter`) in one coordinate."""
+    n, dim = draw(st.integers(2, 10)), draw(st.integers(1, 6))
+    value = st.one_of(st.integers(-3, 3).map(float), st.floats(-4.0, 4.0))
+    table = draw(st.sampled_from([0.0, 1.0, 1e3])) + np.array(
+        draw(st.lists(value, min_size=n * dim, max_size=n * dim))).reshape(n, dim)
+    copies = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(0, dim - 1),
+                       st.sampled_from([0.0, np.inf, -np.inf]))
+    for src, dst, col, toward in draw(st.lists(copies, max_size=n)):
+        table[dst] = table[src]
+        if toward:
+            table[dst, col] = np.nextafter(table[dst, col], toward)
+    return table
+
+
 class TestExactRanking:
+    @settings(max_examples=150, deadline=None)
+    @given(tie_tables(), st.booleans())
+    def test_rank_matches_reference_on_drawn_ties(self, table, skip):
+        rows = np.arange(len(table))
+        ranked = evaluation._rank(table, table, rows if skip else None)
+        for q, got in enumerate(ranked.tolist()):
+            dist = np.linalg.norm(table - table[q], axis=1)
+            want = sorted((r for r in rows.tolist() if not (skip and r == q)), key=lambda r: (dist[r], r))
+            assert got == want
+
     def test_tie_hard_rankings_match_reference_norm(self):
         ids, vecs, labels = tie_hard_table()
         results = leave_one_out_retrieval(ids, vecs, labels)

@@ -17,6 +17,8 @@ from mdrnet.training import ConfigError, TrainConfig, parse_config
 from mdrnet.voxel import (BinvoxError, DatasetError, VoxelGrid, generate_synthetic, load_binvox,
                           load_dataset, save_binvox)
 
+from conftest import seal
+
 FUZZ = settings(max_examples=150, deadline=None)
 
 
@@ -67,7 +69,7 @@ def test_load_binvox_structured(data):
 def record(name, shape, n_values):
     nb = name.encode("utf-8")
     head = struct.pack("<I", len(nb)) + nb + struct.pack(f"<I{len(shape)}I", len(shape), *shape)
-    return head + bytes(8 * n_values)
+    return head + bytes(4 * n_values)
 
 
 @st.composite
@@ -77,7 +79,7 @@ def records_like(draw):
         shape = draw(st.lists(st.integers(0, 3), max_size=draw(st.sampled_from([3, 70]))))
         n_values = int(np.prod(shape)) + draw(st.sampled_from([0, 0, -1, 1]))
         body += record(draw(st.text(max_size=4)), shape, max(n_values, 0))
-    return network.CHECKPOINT_MAGIC + body + draw(st.binary(max_size=3))
+    return seal(network.CHECKPOINT_MAGIC + body + draw(st.binary(max_size=3)))
 
 
 def check_records(data):
@@ -85,18 +87,19 @@ def check_records(data):
         records = load_records(data)
     except NetworkError:
         return
-    assert all(isinstance(a, np.ndarray) and a.dtype == np.float64 for a in records.values())
+    assert all(isinstance(a, np.ndarray) and a.dtype == np.float32 for a in records.values())
 
 
 @FUZZ
 @given(st.binary(max_size=80))
 def test_load_records_arbitrary_bytes(data):
     check_records(network.CHECKPOINT_MAGIC + data)
+    check_records(seal(network.CHECKPOINT_MAGIC + data))
 
 
 @FUZZ
 @given(records_like())
-@example(network.CHECKPOINT_MAGIC + record("r", (1,) * 65, 1))
+@example(seal(network.CHECKPOINT_MAGIC + record("r", (1,) * 65, 1)))
 def test_load_records_structured(data):
     check_records(data)
 

@@ -14,9 +14,9 @@ from mdrnet.network import (
     save_descriptors,
     save_records,
 )
-from mdrnet.training import build_model
+from mdrnet.training import Trainer, TrainConfig, build_model
 
-from conftest import add, make_tiny_encoder, make_tiny_lstm, scalar_convlstm_step
+from conftest import add, make_tiny_encoder, make_tiny_lstm, scalar_convlstm_step, seal
 
 
 def zero_params(tensors):
@@ -310,13 +310,14 @@ class TestEndToEndGradient:
 class TestCheckpointRecords:
     def test_round_trip(self, rng):
         records = {
-            "a.w": rng.normal(size=(3, 4)),
-            "/opt/a.w.m": rng.normal(size=(3, 4)),
-            "/meta/scalar": np.float64(7.0),
+            "a.w": rng.normal(size=(3, 4)).astype(np.float32),
+            "/opt/a.w.m": rng.normal(size=(3, 4)).astype(np.float32),
+            "/meta/scalar": np.float32(7.0),
         }
         loaded = load_records(save_records(records))
         assert list(loaded) == list(records)
         for k in records:
+            assert loaded[k].dtype == np.float32
             assert np.array_equal(np.asarray(records[k]), loaded[k])
 
     def test_byte_layout(self):
@@ -332,8 +333,8 @@ class TestCheckpointRecords:
         ):
             nb = name.encode("utf-8")
             expected += struct.pack(f"<I{len(nb)}sI{len(shape)}I", len(nb), nb, len(shape), *shape)
-            expected += struct.pack(f"<{len(values)}d", *values)
-        assert save_records(records) == expected
+            expected += struct.pack(f"<{len(values)}f", *values)
+        assert save_records(records) == seal(expected)
 
     def test_magic_enforced(self):
         with pytest.raises(NetworkError):
@@ -341,10 +342,12 @@ class TestCheckpointRecords:
 
     def test_previous_format_refused(self, rng):
         # MDRNET1 weights were trained without the encoder's feature
-        # normalization and would give different descriptors
+        # normalization and would give different descriptors; MDRNET2
+        # records are float64, with no checksum
         data = save_records({"a.w": rng.normal(size=(2, 2))})
-        with pytest.raises(NetworkError):
-            load_records(b"MDRNET1" + data[len(network.CHECKPOINT_MAGIC):])
+        for magic in (b"MDRNET1", b"MDRNET2"):
+            with pytest.raises(NetworkError, match="magic"):
+                load_records(magic + data[len(network.CHECKPOINT_MAGIC):])
 
     def test_every_truncation_is_typed(self, rng):
         records = {
@@ -352,19 +355,26 @@ class TestCheckpointRecords:
             "/meta/scalar": np.float64(7.0),
             "b.v": rng.normal(size=5),
         }
-        names = list(records)
-        # a cut between two records leaves a valid, shorter record set
-        boundaries = {
-            len(save_records({n: records[n] for n in names[:i]})): names[:i]
-            for i in range(len(names) + 1)
-        }
         data = save_records(records)
-        for cut in range(len(network.CHECKPOINT_MAGIC), len(data)):
-            if cut in boundaries:
-                assert list(load_records(data[:cut])) == boundaries[cut]
-            else:
-                with pytest.raises(NetworkError):
-                    load_records(data[:cut])
+        for cut in range(len(data)):
+            with pytest.raises(NetworkError):
+                load_records(data[:cut])
+
+    def test_flipped_byte_rejected(self):
+        data = Trainer(TrainConfig(mode="cnn_only", seed=7), 4).save()
+        rng = np.random.default_rng(0)
+        positions = [0, len(data) - 1, *rng.choice(len(data), 200, replace=False).tolist()]
+        for pos, bit in zip(positions, rng.integers(0, 8, len(positions)).tolist()):
+            bad = bytearray(data)
+            bad[pos] ^= 1 << bit
+            with pytest.raises(NetworkError):
+                load_records(bad)
+
+    def test_repeated_name_rejected(self):
+        data = Trainer(TrainConfig(mode="cnn_only", seed=7), 4).save()
+        again = save_records({"gen.enc0.b": np.ones(32)})[len(network.CHECKPOINT_MAGIC) : -4]
+        with pytest.raises(NetworkError, match="repeats record gen.enc0.b"):
+            load_records(seal(data[:-4] + again))
 
     def test_oversized_lengths_rejected(self):
         magic = network.CHECKPOINT_MAGIC
@@ -373,15 +383,15 @@ class TestCheckpointRecords:
             struct.pack("<I", 1) + b"a" + struct.pack("<I", 0xFFFFFFFF),  # rank
             struct.pack("<I", 1) + b"a" + struct.pack("<3I", 1, 0xFFFFFFFF, 0xFFFFFFFF),
         ):
-            with pytest.raises(NetworkError):
-                load_records(magic + body)
+            with pytest.raises(NetworkError, match="truncated"):
+                load_records(seal(magic + body))
 
     def test_non_utf8_name_rejected(self):
         data = save_records({"ab": np.zeros(2)})
         magic = len(network.CHECKPOINT_MAGIC)
-        bad = data[: magic + 4] + b"\xff\xfe" + data[magic + 6 :]
-        with pytest.raises(NetworkError):
-            load_records(bad)
+        bad = data[: magic + 4] + b"\xff\xfe" + data[magic + 6 : -4]
+        with pytest.raises(NetworkError, match="UTF-8"):
+            load_records(seal(bad))
 
 
 class TestDescriptorFiles:

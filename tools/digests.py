@@ -16,7 +16,9 @@ digits of the SHA-256 of
 - the DDSD bytes of `Trainer.extract` over one batch of 64 shapes
   (`build_synthetic_dataset(SYNTHETIC_CLASSES, 16, 3)`, all splits, a
   seed-7 `full` model): 576 slices per encoder conv, so `enc0`-`enc2`
-  each run several row blocks;
+  each run several row blocks. The trainer restored from that model's own
+  checkpoint must give the same bytes: the script exits non-zero, naming
+  the check, where it does not;
 - every file of the CLI recipe: `dataset-synth --per-class 8 --seed 3`,
   `train` (`mode = full`, `seed = 7`, `epochs = 1`, `batch_size = 8`),
   `extract` on the test split and with `--split all`, and
@@ -73,8 +75,11 @@ def extract_digest():
     dataset = voxel.build_synthetic_dataset(voxel.SYNTHETIC_CLASSES, 16, 3)
     x, _, ids = training.prepare_inputs(dataset.shapes, 3)
     trainer = training.Trainer(training.TrainConfig(mode="full", seed=7), len(dataset.classes))
-    vecs = trainer.extract(x)
-    print(f"extract  {len(ids)} shapes in one batch {short(network.save_descriptors(ids, vecs))}")
+    table = network.save_descriptors(ids, trainer.extract(x))
+    print(f"extract  {len(ids)} shapes in one batch {short(table)}")
+    restored = network.save_descriptors(ids, training.Trainer.restore(trainer.save()).extract(x))
+    if restored != table:
+        sys.exit(f"extract: the trainer restored from its own checkpoint gives {short(restored)}, not {short(table)}")
 
 
 def run(argv):
