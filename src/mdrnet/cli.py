@@ -27,15 +27,14 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
 
+
+class UsageError(ValueError):
+    """Command-line arguments that do not fit together or fit the dataset."""
+
+
 # the package's typed errors for bad input; any other exception is a bug
 # and keeps its traceback
-USAGE_ERRORS = (ConfigError, DatasetError, BinvoxError, MdrError, NetworkError, EvaluationError)
-
-
-class CliError(Exception):
-    def __init__(self, message, code):
-        super().__init__(message)
-        self.code = code
+USAGE_ERRORS = (UsageError, ConfigError, DatasetError, BinvoxError, MdrError, NetworkError, EvaluationError)
 
 
 def cmd_dataset_synth(args):
@@ -135,7 +134,7 @@ def cmd_extract(args):
 
 def cmd_eval(args):
     if not args.checkpoint and not args.descriptors:
-        raise CliError("eval needs --checkpoint and/or --descriptors", EXIT_USAGE)
+        raise UsageError("eval needs --checkpoint and/or --descriptors")
     dataset = _load_dataset(args.data)
     test_shapes = dataset.subset("test")
     labels = {s.shape_id: s.label for s in dataset.shapes}
@@ -143,17 +142,16 @@ def cmd_eval(args):
 
     trainer = _restore_trainer(args.checkpoint) if args.checkpoint else None
     if trainer is not None and len(dataset.classes) != trainer.model.n_classes:
-        raise CliError(
+        raise UsageError(
             f"checkpoint was trained for {trainer.model.n_classes} classes, "
-            f"dataset has {len(dataset.classes)}",
-            EXIT_USAGE,
+            f"dataset has {len(dataset.classes)}"
         )
 
     if args.descriptors:
         ids, vecs = network.load_descriptors(Path(args.descriptors).read_bytes())
         missing = [i for i in ids if i not in labels]
         if missing:
-            raise CliError(f"descriptor ids not in dataset: {missing[:5]}", EXIT_USAGE)
+            raise UsageError(f"descriptor ids not in dataset: {missing[:5]}")
     else:
         x, _, ids = training.prepare_inputs(test_shapes, trainer.model.k)
         vecs = trainer.extract(x)
@@ -241,8 +239,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except CliError as e:
-        return _fail(e, e.code)
     except USAGE_ERRORS as e:
         return _fail(e, EXIT_USAGE)
     except TrainingError as e:

@@ -7,6 +7,11 @@ fully-connected layers, a peephole ConvLSTM recurrence over small state
 maps and softmax cross-entropy; with them come Adam and a
 finite-difference gradient checker.
 
+`requires_grad` is the one "needs a gradient" flag: outside `no_grad`,
+an op whose inputs include one that requires a gradient builds a graph
+node and marks its output so, and its backward forms exactly the
+gradients its inputs require.
+
 A graph is consumed by its backward: the sweep drops each interior
 node's closure, parents and gradient as soon as that node has passed its
 gradient on, so the arrays a closure saved are freed while the sweep
@@ -39,7 +44,7 @@ _grad_enabled = True
 
 @contextlib.contextmanager
 def no_grad():
-    """Disable graph recording inside the block (forward-only evaluation)."""
+    """Build no graph inside the block (forward-only evaluation)."""
     global _grad_enabled
     prev = _grad_enabled
     _grad_enabled = False
@@ -52,7 +57,9 @@ def no_grad():
 class Tensor:
     """A float array plus an accumulated gradient and a backward closure.
 
-    A float array keeps its dtype; any other data becomes float64."""
+    A float array keeps its dtype; any other data becomes float64.
+    `requires_grad` is the one "needs a gradient" flag: set on a leaf by
+    its maker, and on an op's output when that op builds a graph node."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
@@ -129,17 +136,12 @@ def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _needs_grad(t):
-    """True when a backward pass must deliver a gradient to `t`."""
-    return t.requires_grad or bool(t._parents)
-
-
 def _make(data, parents, backward):
     out = Tensor(data)
-    if _grad_enabled and any(_needs_grad(p) for p in parents):
+    if _grad_enabled and any(p.requires_grad for p in parents):
         out._parents = tuple(parents)
         out._backward = backward
-        out.requires_grad = any(p.requires_grad for p in parents)
+        out.requires_grad = True
     return out
 
 
@@ -291,15 +293,15 @@ def conv2d(x, kernels, bias=None, stride=2):
 
     def backward(g):
         gr = g.transpose(0, 2, 3, 1).reshape(N, co)  # a view when g is channels-last
-        if _needs_grad(kernels):
+        if kernels.requires_grad:
             rows = np.empty((N, K), dtype)
             np.copyto(rows.reshape(B, ho, wo, kh, kw, ci), win)
             dw = (gr.T @ rows).reshape(co, kh, kw, ci)
             del rows
             kernels.accumulate(np.ascontiguousarray(dw.transpose(0, 3, 1, 2)))
-        if bias is not None and _needs_grad(bias):
+        if bias is not None and bias.requires_grad:
             bias.accumulate(gr.sum(axis=0))
-        if _needs_grad(x):
+        if x.requires_grad:
             # col2im channels-last, one block of whole images at a time through
             # one scratch dcols: each tap slab is a run of whole channel rows
             dxp = np.zeros((B, Hp, Wp, ci), dtype)
@@ -330,11 +332,12 @@ def fully_connected(x, weight, bias):
     out = x.data @ weight.data.T + bias.data
 
     def backward(g):
-        if _needs_grad(weight):
+        if weight.requires_grad:
             weight.accumulate(g.T @ x.data)
-        if _needs_grad(bias):
+        if bias.requires_grad:
             bias.accumulate(g.sum(axis=0))
-        x.accumulate(g @ weight.data)
+        if x.requires_grad:
+            x.accumulate(g @ weight.data)
 
     return _make(out, (x, weight, bias), backward)
 
@@ -418,8 +421,11 @@ def convlstm(x, w_x, w_h, w_c, b, h0=None, c0=None):
     call and never stored. The input projection of all B*T steps is one
     GEMM, each step adds one recurrent GEMM and the gate arithmetic, and
     the backward forms each weight gradient with one GEMM over all steps.
-    The two outputs share one forward; each runs the reverse walk for
-    its own gradient, which sums correctly because the walk is linear.
+    One forward serves with or without a graph: step t reads c from
+    `cells[t]` and h from `h_rows[t]`, the recurrent GEMM's operand, and
+    writes its own to `cells[t + 1]` and (one copy) `h_rows[t + 1]`. Both
+    outputs share it; each runs the reverse walk for its own gradient,
+    which sums correctly because the walk is linear.
     """
     x, w_x, w_h, w_c, b = (_as_tensor(t) for t in (x, w_x, w_h, w_c, b))
     h0, c0 = (None if s is None else _as_tensor(s) for s in (h0, c0))
@@ -434,7 +440,6 @@ def convlstm(x, w_x, w_h, w_c, b, h0=None, c0=None):
     taps = _conv_taps(H, W, *w_x.shape[3:])
     parents = (x, w_x, w_h, w_c, b, *starts)
     dtype = np.result_type(*(p.data for p in parents))
-    record = _grad_enabled and any(_needs_grad(p) for p in parents)
 
     def channels_last(s):  # (B, C, H, W) -> (B, P, C) view
         return s.reshape(B, C, P).transpose(0, 2, 1)
@@ -449,28 +454,25 @@ def convlstm(x, w_x, w_h, w_c, b, h0=None, c0=None):
     # time-major pre-activations; each step overwrites its own with the gates
     z = (xs @ wx.T).reshape(T, B, P, 4, C)
     z += b.data
-    h = None if h0 is None else channels_last(h0.data)
-    c = np.zeros((B, P, C), dtype) if c0 is None else channels_last(c0.data)
-    if record:
-        h_rows = np.zeros((T, B, C * P), dtype)
-        cells = np.empty((T + 1, B, P, C), dtype)
-        cells[0] = c
+    # without h0, step 0 has no recurrent GEMM and h_rows[0] stays unset
+    h_rows = np.empty((T, B, C * P), dtype)
+    cells = np.empty((T + 1, B, P, C), dtype)
+    cells[0] = 0.0 if c0 is None else channels_last(c0.data)
+    if h0 is not None:
+        h_rows[0] = h0.data.reshape(B, C * P)
     for t in range(T):
-        zt = z[t]
-        if h is not None:
-            h_row = channels_first(h)
-            zt += (h_row @ wh.T).reshape(B, P, 4, C)
-            if record:
-                h_rows[t] = h_row
+        zt, c = z[t], cells[t]
+        if t or h0 is not None:
+            zt += (h_rows[t] @ wh.T).reshape(B, P, 4, C)
         i = _logistic(zt[:, :, 0] + peep[0] * c)
         f = _logistic(zt[:, :, 1] + peep[1] * c)
         g = np.tanh(zt[:, :, 2])
-        c = f * c + i * g
+        c = np.add(f * c, i * g, out=cells[t + 1])
         o = _logistic(zt[:, :, 3] + peep[2] * c)
         h = o * np.tanh(c)
         zt[:, :, 0], zt[:, :, 1], zt[:, :, 2], zt[:, :, 3] = i, f, g, o
-        if record:
-            cells[t + 1] = c
+        if t + 1 < T:  # the next step's GEMM operand, h's one copy
+            np.copyto(h_rows[t + 1].reshape(B, C, P), h.transpose(0, 2, 1))
 
     def reverse(dh_out, dc_out):
         dh = np.zeros((B, P, C), dtype) if dh_out is None else channels_last(dh_out)
@@ -478,7 +480,7 @@ def convlstm(x, w_x, w_h, w_c, b, h0=None, c0=None):
         dz = np.empty_like(z)
         dpeep = np.zeros((3, P, C), dtype)
         # h0 gets no recurrent GEMM when it is absent or needs no gradient
-        first = 0 if h0 is not None and _needs_grad(h0) else 1
+        first = 0 if h0 is not None and h0.requires_grad else 1
         for t in reversed(range(T)):
             i, f, g, o = (z[t, :, :, k] for k in range(4))
             c_prev, c_t = cells[t], cells[t + 1]
@@ -496,23 +498,23 @@ def convlstm(x, w_x, w_h, w_c, b, h0=None, c0=None):
             if t >= first:
                 dh = channels_last((dz[t].reshape(B, -1) @ wh).reshape(B, C, H, W))
         dz_rows = dz.reshape(T * B, -1)
-        if _needs_grad(w_x):
+        if w_x.requires_grad:
             w_x.accumulate(_fold(dz_rows.T @ xs, taps, w_x.shape))
-        if _needs_grad(w_h):
+        if w_h.requires_grad:
             s = 0 if h0 is not None else 1  # without h0 the first step has no h
             dense = dz[s:].reshape(-1, 4 * C * P).T @ h_rows[s:].reshape(-1, C * P)
             w_h.accumulate(_fold(dense, taps, w_h.shape))
-        if _needs_grad(x):
+        if x.requires_grad:
             dx = (dz_rows @ wx).reshape(T, B, C, H, W)
             x.accumulate(dx.transpose(1, 0, 2, 3, 4))
-        if _needs_grad(b):
+        if b.requires_grad:
             b.accumulate(dz.sum(axis=(0, 1, 2)))
-        if _needs_grad(w_c):
+        if w_c.requires_grad:
             # C order, as the optimizer's moments are
             w_c.accumulate(np.ascontiguousarray(dpeep.transpose(0, 2, 1)).reshape(3, C, H, W))
-        if h0 is not None and _needs_grad(h0):
+        if h0 is not None and h0.requires_grad:
             h0.accumulate(channels_first(dh).reshape(B, C, H, W))
-        if c0 is not None and _needs_grad(c0):
+        if c0 is not None and c0.requires_grad:
             c0.accumulate(channels_first(dc).reshape(B, C, H, W))
 
     h_out = _make(channels_first(h).reshape(B, C, H, W), parents, lambda g: reverse(g, None))

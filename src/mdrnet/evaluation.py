@@ -157,8 +157,7 @@ def average_precision(result: RetrievalResult):
     rel = np.asarray(result.relevant, dtype=bool)
     if not rel.any():
         return None
-    ranks = np.arange(1, len(rel) + 1)
-    return float(np.mean(np.cumsum(rel)[rel] / ranks[rel]))
+    return float(np.mean(result.curve.precision[rel]))
 
 
 def mean_ap(results):

@@ -159,8 +159,8 @@ def save_descriptors(ids, descriptors):
 
 
 def load_descriptors(data):
-    """Inverse of save_descriptors; any malformed table, or one that lists a
-    shape id twice, is a NetworkError."""
+    """Inverse of save_descriptors: ids and an (n, 1024) array, n = 0 too.
+    A malformed table, or one listing a shape id twice, is a NetworkError."""
     try:
         lines = data.decode("utf-8").splitlines()
     except UnicodeDecodeError as e:
@@ -191,4 +191,4 @@ def load_descriptors(data):
     if len(set(ids)) != n:
         repeated = Counter(ids).most_common(1)[0][0]
         raise NetworkError(f"descriptor file lists shape id {repeated!r} more than once")
-    return ids, np.array(vecs)
+    return ids, np.array(vecs).reshape(n, dim)

@@ -337,10 +337,23 @@ class Trainer:
 
     # -- single steps ------------------------------------------------------
 
-    def _check_finite(self, loss):
-        if not np.isfinite(loss):
+    def _descend(self, loss, *steps):
+        """Zero each (optimizer, lr) of `steps`, backward the `loss` Tensor, step
+        each optimizer whose lr > 0; a non-finite gradient (before that step)
+        or loss (after all) is a TrainingError. Returns the loss as a float."""
+        for opt, _ in steps:
+            opt.zero_grad()
+        loss.backward()
+        try:
+            for opt, lr in steps:
+                if lr > 0:
+                    opt.step(lr)
+        except engine.NonFiniteGradient as e:
+            raise TrainingError(str(e)) from e
+        value = loss.item()
+        if not np.isfinite(value):
             raise TrainingError(f"non-finite loss at epoch {self.epoch}")
-        return loss
+        return value
 
     def d_step(self, x_batch, y_batch=None):
         """Push the frozen generator's descriptors toward the extra class.
@@ -354,15 +367,10 @@ class Trainer:
         z = self.model.latent(x_batch)
         logits = self.model.head_logits(z.data)  # the bare array: the loss reaches only the head
         targets = np.full(len(x_batch), self.model.n_classes, dtype=np.int64)
-        loss = engine.softmax_cross_entropy(logits, targets)
-        self.opt_head.zero_grad()
-        loss.backward()
-        try:
-            self.opt_head.step(self.opt_head.lr_at_epoch(self.epoch))
-        except engine.NonFiniteGradient as e:
-            raise TrainingError(str(e)) from e
+        loss = self._descend(engine.softmax_cross_entropy(logits, targets),
+                             (self.opt_head, self.opt_head.lr_at_epoch(self.epoch)))
         self._latent = (x_batch, z)
-        return self._check_finite(loss.item())
+        return loss
 
     def g_step(self, x_batch, y_batch, lr_gen=None):
         """One step toward the true labels, through the whole generator.
@@ -377,25 +385,16 @@ class Trainer:
         else:
             z = self.model.latent(x_batch)
         logits = self.model.head_logits(z)
-        loss = engine.softmax_cross_entropy(logits, y_batch)
         preds = logits.data[:, : self.model.n_classes].argmax(axis=1)
         correct = int((preds == y_batch).sum())
-        self.opt_gen.zero_grad()
-        self.opt_head.zero_grad()
-        loss.backward()
         eff_gen = self.opt_gen.lr_at_epoch(self.epoch) if lr_gen is None else lr_gen
-        try:
-            if eff_gen > 0:
-                self.opt_gen.step(eff_gen)
-            self.opt_head.step(self.opt_head.lr_at_epoch(self.epoch))
-        except engine.NonFiniteGradient as e:
-            raise TrainingError(str(e)) from e
-        return self._check_finite(loss.item()), correct
+        return self._descend(engine.softmax_cross_entropy(logits, y_batch), (self.opt_gen, eff_gen),
+                             (self.opt_head, self.opt_head.lr_at_epoch(self.epoch))), correct
 
     # -- epochs ------------------------------------------------------------
 
     def train_epoch(self, train_x, train_y):
-        """Shuffled pass over the train split; appends one metrics row."""
+        """Shuffled pass over the train split; appends one metrics row and holds no gradient after."""
         if len(train_x) == 0:
             raise TrainingError("empty training set")
         rng = np.random.default_rng(
@@ -414,6 +413,8 @@ class Trainer:
             g_sum += g_loss * len(idx)
             correct += c
         n = len(order)
+        self.opt_gen.zero_grad()  # held, they keep the step's freed arrays resident
+        self.opt_head.zero_grad()
         self.metrics.append(
             EpochMetrics(self.epoch, g_sum / n, d_sum / n if self.model.adversarial else 0.0, correct / n)
         )
@@ -461,13 +462,15 @@ class Trainer:
 
         A missing or misshapen record, an out-of-range count, or a config
         differing in mode or k is a NetworkError raised before any array
-        is allocated; a record that `to_records` does not write is one
-        too. Each parameter and Adam moment is one owned copy of its
-        float32 record, which `build_model` and `Adam` adopt: nothing is
-        drawn from the RNG or zero-filled only to be overwritten."""
+        is allocated; so is a record that none of these checks read. Each
+        parameter and Adam moment is one owned copy of its float32
+        record, which `build_model` and `Adam` adopt: nothing is drawn
+        from the RNG or zero-filled only to be overwritten."""
         records = network.load_records(data)
+        checked = set()
 
         def record(name, shape):
+            checked.add(name)
             if name not in records:
                 raise NetworkError(f"checkpoint missing record {name}")
             if records[name].shape != shape:
@@ -497,6 +500,9 @@ class Trainer:
                 record(stored, shape)
         epoch = count("/meta/epoch", 0)
         t_gen, t_head = count("/opt/gen.t", 0), count("/opt/head.t", 0)
+        for name in records:
+            if name not in checked:
+                raise NetworkError(f"checkpoint has unexpected record {name}")
 
         def copy(name):
             return np.array(records[name], dtype=PARAM_DTYPE)
@@ -510,10 +516,6 @@ class Trainer:
         trainer._start(config, model, moments(model.gen_tensors(), t_gen),
                        moments(model.head_tensors(), t_head))
         trainer.epoch = epoch
-        layout = trainer.to_records()
-        for name in records:
-            if name not in layout:
-                raise NetworkError(f"checkpoint has unexpected record {name}")
         return trainer
 
 

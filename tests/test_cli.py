@@ -275,6 +275,18 @@ class TestTrainExtractEval:
                 ])
                 assert rc == cli.EXIT_USAGE, (name, extra)
 
+    def test_empty_descriptor_table_usage_error(self, dataset_dir, run_dir, tmp_path, capsys):
+        """An empty table loads as (0, 1024) descriptors, which the head
+        accepts; evaluation then refuses the empty input."""
+        path = tmp_path / "empty.ddsd"
+        path.write_text("DDSD n=0 dim=1024\n")
+        rc = main([
+            "eval", "--descriptors", str(path), "--checkpoint", str(run_dir / "checkpoint.mdrnet"),
+            "--data", str(dataset_dir), "--out", str(tmp_path / "e_empty"),
+        ])
+        assert rc == cli.EXIT_USAGE
+        assert capsys.readouterr().err == "error: empty input\n"
+
     def test_eval_has_no_metric_option(self, dataset_dir, run_dir, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main([

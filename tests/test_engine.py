@@ -433,10 +433,15 @@ class TestConvLstm:
     @given(st.data())
     def test_drawn_sequences_match_scalar_reference(self, data):
         """Both final states against a loop of `conftest.scalar_convlstm_step`,
-        which starts an absent state from zeros."""
+        which starts an absent state from zeros; with a graph, the forward
+        gives the same bits as without."""
         x, params, h0, c0 = self.draw_case(data, max_channels=3)
         with engine.no_grad():
             h, c = engine.convlstm(x, *params, h0, c0)
+        graph_inputs = [None if a is None else Tensor(a, requires_grad=True) for a in (x, *params, h0, c0)]
+        h_graph, c_graph = engine.convlstm(*graph_inputs)
+        assert h_graph._backward is not None and h._backward is None
+        assert same_bits(h_graph.data, h.data) and same_bits(c_graph.data, c.data)
         p = [Tensor(a) for a in params]
         for i, seq in enumerate(x):
             h_ref = np.zeros(seq.shape[1:]) if h0 is None else h0[i]
@@ -512,6 +517,13 @@ class TestFullyConnected:
         )
         out = engine.fully_connected(Tensor(x), Tensor(w), Tensor(b))
         assert np.allclose(out.data, expected)
+
+    def test_input_without_gradient_gets_none(self, rng):
+        x = Tensor(rng.normal(size=(2, 5)))
+        w, b = (Tensor(rng.normal(size=s), requires_grad=True) for s in ((3, 5), (3,)))
+        engine.softmax_cross_entropy(engine.fully_connected(x, w, b), np.array([0, 2])).backward()
+        assert x.grad is None
+        assert w.grad.shape == w.shape and b.grad.shape == b.shape
 
     def test_width_mismatch(self):
         with pytest.raises(EngineError):

@@ -396,11 +396,12 @@ class TestCheckpointRecords:
 
 class TestDescriptorFiles:
     def test_round_trip(self, rng):
-        ids = ["a_0001", "b_0002"]
-        vecs = rng.normal(size=(2, DESCRIPTOR_DIM))
-        got_ids, got_vecs = load_descriptors(save_descriptors(ids, vecs))
-        assert got_ids == ids
-        assert np.array_equal(got_vecs, vecs)  # 17 significant digits is exact
+        for ids in (["a_0001", "b_0002"], []):  # an empty table keeps its (0, 1024) shape
+            vecs = rng.normal(size=(len(ids), DESCRIPTOR_DIM))
+            got_ids, got_vecs = load_descriptors(save_descriptors(ids, vecs))
+            assert got_ids == ids
+            assert got_vecs.shape == vecs.shape
+            assert np.array_equal(got_vecs, vecs)  # 17 significant digits is exact
 
     def test_values_written_as_fstring_17g(self, rng):
         vecs = rng.normal(size=(2, DESCRIPTOR_DIM)) * 1e3

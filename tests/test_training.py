@@ -213,6 +213,32 @@ class TestSteps:
         with pytest.raises(training.TrainingError):
             tr.g_step(x[:0], y[:0])
 
+    @pytest.mark.parametrize("step", ["d_step", "g_step"])
+    def test_non_finite_batch_raises_and_moves_nothing(self, batch, step):
+        """One NaN cell gives that shape's latent, the loss and the
+        gradients NaN: the step is a TrainingError, and every parameter,
+        Adam moment and step count stays as it was."""
+        x, y, _ = batch
+        tr = Trainer(TrainConfig(mode="full", seed=6), N_CLASSES)
+        tr.d_step(x)
+        tr.g_step(x, y)  # moments and step counts away from their start
+        opts = (tr.opt_gen, tr.opt_head)
+
+        def state():
+            arrays = [t.data for t in tr.model.params.values()]
+            arrays += [a for opt in opts for a in (*opt.state.m, *opt.state.v)]
+            return [a.copy() for a in arrays], [opt.state.t for opt in opts]
+
+        before = state()
+        bad = x.copy()
+        bad[1, 4, 15, 15] = np.nan
+        with pytest.raises(training.TrainingError, match="non-finite gradient"):
+            getattr(tr, step)(bad, y)
+        after = state()
+        assert after[1] == before[1] == [1, 2]
+        assert all(np.array_equal(a, b) for a, b in zip(after[0], before[0]))
+        assert tr._latent is None
+
     def test_g_step_leaves_each_parameter_its_own_writable_grad(self, batch):
         x, y, _ = batch
         tr = Trainer(TrainConfig(mode="full", seed=6), N_CLASSES)
@@ -330,6 +356,12 @@ class TestSharedForward:
         assert tr._latent is not None
         then(tr, x, y)
         assert tr._latent is None
+
+    def test_train_epoch_holds_no_gradient_after(self):
+        x, y, _ = small_batch(3)
+        tr = Trainer(TrainConfig(mode="full", batch_size=2, seed=1), N_CLASSES)
+        tr.train_epoch(x, y)
+        assert all(t.grad is None for t in tr.model.named_tensors().values())
 
 
 class TestCheckpoint:
@@ -482,6 +514,17 @@ class TestCheckpoint:
 
         monkeypatch.setattr(training, "build_model", refuse)
         with pytest.raises(NetworkError, match="head.fc1.w"):
+            Trainer.restore(network.save_records(records))
+
+    def test_unexpected_record_refused_before_model_is_built(self, monkeypatch):
+        records = network.load_records(Trainer(TrainConfig(mode="cnn_only", seed=7), N_CLASSES).save())
+        records["gen.extra"] = np.zeros(3, np.float32)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("build_model ran before the unexpected record was refused")
+
+        monkeypatch.setattr(training, "build_model", refuse)
+        with pytest.raises(NetworkError, match="unexpected record gen.extra"):
             Trainer.restore(network.save_records(records))
 
 
