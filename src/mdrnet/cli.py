@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, evaluation, network, training, voxel
+from . import __version__, engine, evaluation, network, training, voxel
 from .evaluation import EvaluationError
 from .mdr import MdrError, compute_mdr, export_mdr_text, export_slice_pgm, slice_name
 from .network import NetworkError
@@ -103,15 +103,10 @@ def cmd_train(args):
     }
     write_atomic(out_dir / "run_manifest.json", json.dumps(manifest, indent=2) + "\n")
 
-    for _ in range(config.epochs):
-        m = trainer.train_epoch(train_x, train_y)
-        write_atomic(checkpoint_path, trainer.save())
-        write_atomic(metrics_path, training.metrics_csv(trainer.metrics))
-        print(
-            f"epoch {m.epoch}: g_loss={m.g_loss:.4f} d_loss={m.d_loss:.4f} "
-            f"train_acc={m.train_acc:.4f}"
-        )
-    if config.epochs == 0:
+    for epoch in range(max(config.epochs, 1)):
+        if epoch < config.epochs:  # epochs = 0 writes the untrained run
+            m = trainer.train_epoch(train_x, train_y)
+            print(f"epoch {m.epoch}: g_loss={m.g_loss:.4f} d_loss={m.d_loss:.4f} train_acc={m.train_acc:.4f}")
         write_atomic(checkpoint_path, trainer.save())
         write_atomic(metrics_path, training.metrics_csv(trainer.metrics))
     final_acc = trainer.metrics[-1].train_acc if trainer.metrics else float("nan")
@@ -158,7 +153,8 @@ def cmd_eval(args):
 
     id_labels = np.array([labels[i] for i in ids])
     if trainer is not None:
-        logits = trainer.model.head_logits(vecs).data
+        with engine.no_grad():
+            logits = trainer.model.head_logits(vecs).data
         preds = np.array(
             [evaluation.classify(l, trainer.model.n_classes) for l in logits]
         )

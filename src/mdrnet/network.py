@@ -16,12 +16,13 @@ These functions take the tensors they run and hold none:
 `training.param_shapes` names every parameter, `training.build_model`
 draws or adopts them, and `training.Model` holds them in one named dict.
 Every parameter is PARAM_DTYPE (float32), and so are the activations,
-gradients and Adam moments that follow it through the engine; checkpoint
-records are that float32, little-endian, behind a CRC32 of the file.
+gradients and Adam moments that follow it through the engine. A checkpoint
+holds that float32, little-endian, behind seven u32 counts and in front of
+a CRC32 of the file. It names no array: `training.param_shapes` fixes
+the order, and the file stores a CRC32 of that table to refuse another.
 """
 from __future__ import annotations
 
-import math
 import re
 import struct
 import zlib
@@ -44,8 +45,11 @@ PARAM_DTYPE = np.float32
 
 # Refused: MDRNET1 checkpoints predate the feature normalization in
 # encode_slice, so their weights would give different descriptors; MDRNET2
-# ones hold float64 records and no checksum.
-CHECKPOINT_MAGIC = b"MDRNET3"
+# ones hold float64 records and no checksum; MDRNET3 ones hold named records.
+CHECKPOINT_MAGIC = b"MDRNET4"
+# mode id, classes, k, epoch, generator Adam t, head Adam t, layout id
+CHECKPOINT_COUNTS = 7
+_HEADER = struct.Struct(f"<{len(CHECKPOINT_MAGIC)}s{CHECKPOINT_COUNTS}I")
 
 
 class NetworkError(ValueError):
@@ -84,19 +88,14 @@ def run_convlstm(features, w_x, w_h, w_c, b):
 # checkpoint serialization
 
 
-def save_records(records):
-    """Serialize an ordered {name: float array} mapping: the magic; per
-    record the name length, UTF-8 name, rank and shape as little-endian
-    u32s, then the values as C-order little-endian float32; last a
-    little-endian u32 CRC32 of every byte before it. The model's float32
-    arrays are joined as they are, with no widened or staged copy.
-    A count record (mode, n_classes, k, epoch, Adam t) is an integer below
-    2^24, which float32 holds exactly."""
-    parts = [CHECKPOINT_MAGIC]
-    for name, array in records.items():
-        nb = name.encode("utf-8")
-        array = np.asarray(array, "<f4", order="C")
-        parts += (struct.pack(f"<I{len(nb)}sI{array.ndim}I", len(nb), nb, array.ndim, *array.shape), array)
+def save_records(counts, arrays):
+    """Serialize a checkpoint: the magic, the CHECKPOINT_COUNTS `counts` as
+    little-endian u32s, the values of every array of `arrays` as C-order
+    little-endian float32 back to back, then a little-endian u32 CRC32 of
+    every byte before it. The model's float32 arrays are joined as they
+    are, with no widened or staged copy. `training.Trainer.save` decides
+    what the counts and arrays are."""
+    parts = [_HEADER.pack(CHECKPOINT_MAGIC, *counts), *(np.asarray(a, "<f4", order="C") for a in arrays)]
     crc = 0
     for part in parts:
         crc = zlib.crc32(part, crc)
@@ -105,41 +104,19 @@ def save_records(records):
 
 
 def load_records(data):
-    """Inverse of save_records as read-only float32 views of `data`. The
-    checksum is checked first, so a changed byte or a cut anywhere is a
-    NetworkError; in bytes whose checksum holds, so is a truncated record,
-    a non-UTF-8 name or a name that appears twice."""
+    """Inverse of save_records: the counts as a tuple of ints and every
+    value as one flat read-only float32 view of `data`. The checksum is
+    checked first, so a changed byte or a cut anywhere is a NetworkError;
+    so, in bytes whose checksum holds, is a body of no whole value count."""
     if data[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
         raise NetworkError("bad checkpoint magic")
     view = memoryview(data).toreadonly()
-    pos, end = len(CHECKPOINT_MAGIC), len(view) - 4
-    if end < pos or zlib.crc32(view[:end]) != int.from_bytes(view[end:], "little"):
+    end = len(view) - 4
+    if end < _HEADER.size or zlib.crc32(view[:end]) != int.from_bytes(view[end:], "little"):
         raise NetworkError("checkpoint checksum does not match: the file is corrupt or cut short")
-
-    def take(nbytes, what):
-        nonlocal pos
-        if nbytes > end - pos:
-            raise NetworkError(f"checkpoint truncated in {what} at byte {pos}")
-        pos += nbytes
-        return view[pos - nbytes : pos]
-
-    records = {}
-    while pos < end:
-        (nlen,) = struct.unpack("<I", take(4, "a record name length"))
-        try:
-            name = str(take(nlen, "a record name"), "utf-8")
-        except UnicodeDecodeError as e:
-            raise NetworkError(f"record name before byte {pos} is not UTF-8") from e
-        if name in records:
-            raise NetworkError(f"checkpoint repeats record {name}")
-        (ndim,) = struct.unpack("<I", take(4, f"the rank of {name}"))
-        shape = struct.unpack(f"<{ndim}I", take(4 * ndim, f"the shape of {name}"))
-        payload = take(4 * math.prod(shape), f"the values of {name}")
-        try:
-            records[name] = np.frombuffer(payload, dtype="<f4").reshape(shape)
-        except ValueError as e:  # a rank numpy cannot hold
-            raise NetworkError(f"record {name} has rank {ndim}: {e}") from e
-    return records
+    if (end - _HEADER.size) % 4:
+        raise NetworkError(f"checkpoint body of {end - _HEADER.size} bytes is not whole float32 values")
+    return _HEADER.unpack(view[: _HEADER.size])[1:], np.frombuffer(view[_HEADER.size : end], "<f4")
 
 
 # ---------------------------------------------------------------------------

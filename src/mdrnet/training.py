@@ -18,8 +18,8 @@ recorded with its graph, also serves the generator step of the batch.
 """
 from __future__ import annotations
 
-import io
 import math
+import zlib
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -122,9 +122,6 @@ def format_config(config: TrainConfig) -> str:
 
 # ---------------------------------------------------------------------------
 # model assembly
-
-_MODE_IDS = {m: i for i, m in enumerate(MODES)}
-
 
 @dataclass
 class Model:
@@ -242,6 +239,12 @@ def param_shapes(mode, n_classes):
     return shapes
 
 
+def _layout_id(shapes):
+    """CRC32 of a `param_shapes` table's names and shapes, in order: a
+    checkpoint stores it, so a file of another layout is refused, not misread."""
+    return zlib.crc32(repr(shapes).encode())
+
+
 def _draw_params(mode, n_classes, seed):
     """{name: array} of a fresh model, in `param_shapes` order. Each weight
     is a float64 draw, uniform in +-sqrt(1/fan-in), rounded to PARAM_DTYPE,
@@ -339,8 +342,11 @@ class Trainer:
 
     def _descend(self, loss, *steps):
         """Zero each (optimizer, lr) of `steps`, backward the `loss` Tensor, step
-        each optimizer whose lr > 0; a non-finite gradient (before that step)
-        or loss (after all) is a TrainingError. Returns the loss as a float."""
+        each optimizer whose lr > 0; a non-finite loss (before any of this) or
+        gradient (before that step) is a TrainingError. Returns the loss as a float."""
+        value = loss.item()
+        if not np.isfinite(value):
+            raise TrainingError(f"non-finite loss at epoch {self.epoch}")
         for opt, _ in steps:
             opt.zero_grad()
         loss.backward()
@@ -350,9 +356,6 @@ class Trainer:
                     opt.step(lr)
         except engine.NonFiniteGradient as e:
             raise TrainingError(str(e)) from e
-        value = loss.item()
-        if not np.isfinite(value):
-            raise TrainingError(f"non-finite loss at epoch {self.epoch}")
         return value
 
     def d_step(self, x_batch, y_batch=None):
@@ -436,92 +439,58 @@ class Trainer:
 
     # -- checkpointing -----------------------------------------------------
 
-    def to_records(self):
-        records = {
-            "/meta/mode_id": PARAM_DTYPE(_MODE_IDS[self.model.mode]),
-            "/meta/n_classes": PARAM_DTYPE(self.model.n_classes),
-            "/meta/k": PARAM_DTYPE(self.model.k),
-            "/meta/epoch": PARAM_DTYPE(self.epoch),
-        }
-        records.update((name, t.data) for name, t in self.model.params.items())
-        for group, opt, tensors in (("gen", self.opt_gen, self.model.gen_tensors()),
-                                    ("head", self.opt_head, self.model.head_tensors())):
-            records[f"/opt/{group}.t"] = PARAM_DTYPE(opt.state.t)
-            for (pname, _), m, v in zip(tensors, opt.state.m, opt.state.v):
-                records[f"/opt/{pname}.m"] = m
-                records[f"/opt/{pname}.v"] = v
-        return records
-
     def save(self):
+        """Checkpoint bytes (`network.save_records`): the counts, then every
+        parameter in `param_shapes` order, every first moment in that order,
+        every second moment in that order."""
         self._latent = None
-        return network.save_records(self.to_records())
+        model, gen, head = self.model, self.opt_gen.state, self.opt_head.state
+        counts = (MODES.index(model.mode), model.n_classes, model.k, self.epoch, gen.t, head.t,
+                  _layout_id(param_shapes(model.mode, model.n_classes)))
+        arrays = [t.data for t in model.params.values()] + gen.m + head.m + gen.v + head.v
+        return network.save_records(counts, arrays)
 
     @classmethod
     def restore(cls, data, config: TrainConfig | None = None):
         """Rebuild a trainer from `save` bytes.
 
-        A missing or misshapen record, an out-of-range count, or a config
-        differing in mode or k is a NetworkError raised before any array
-        is allocated; so is a record that none of these checks read. Each
-        parameter and Adam moment is one owned copy of its float32
-        record, which `build_model` and `Adam` adopt: nothing is drawn
-        from the RNG or zero-filled only to be overwritten."""
-        records = network.load_records(data)
-        checked = set()
-
-        def record(name, shape):
-            checked.add(name)
-            if name not in records:
-                raise NetworkError(f"checkpoint missing record {name}")
-            if records[name].shape != shape:
-                raise NetworkError(f"checkpoint record {name} has shape {records[name].shape}, not {shape}")
-            return records[name]
-
-        def count(name, low, high=math.inf):
-            value = float(record(name, ()))
-            if not (value.is_integer() and low <= value <= high):
-                raise NetworkError(f"checkpoint record {name} = {value} is not an integer in [{low}, {high}]")
-            return int(value)
-
-        mode = MODES[count("/meta/mode_id", 0, len(MODES) - 1)]
-        n_classes = count("/meta/n_classes", 1)
-        k = count("/meta/k", 1)
+        A count out of range, a config differing in mode or k, a layout id
+        other than that of this program's `param_shapes` table, or a value
+        count other than three times the table's size is a NetworkError
+        raised before any array is allocated. Each parameter and Adam
+        moment is then one owned copy of its float32 values, which
+        `build_model` and `Adam` adopt: nothing is drawn from the RNG or
+        zero-filled only to be overwritten."""
+        (mode_id, n_classes, k, epoch, t_gen, t_head, layout), values = network.load_records(data)
+        if mode_id >= len(MODES) or n_classes < 2 or k < 1:
+            raise NetworkError(f"checkpoint counts out of range: mode id {mode_id}, {n_classes} classes, k {k}")
         if config is None:
-            config = TrainConfig(mode=mode, k=k)
-        for name, saved, given in (("/meta/mode_id", mode, config.mode), ("/meta/k", k, config.k)):
+            config = TrainConfig(mode=MODES[mode_id], k=k)
+        for name, saved, given in (("mode", MODES[mode_id], config.mode), ("k", k, config.k)):
             if saved != given:
-                raise NetworkError(f"checkpoint record {name} gives {saved!r} but the config has {given!r}")
+                raise NetworkError(f"checkpoint {name} is {saved!r} but the config has {given!r}")
         shapes = param_shapes(config.mode, n_classes)
-        # each parameter with its moments, in `named_tensors` order: the head's
-        # last weight, which bounds n_classes, comes before the bias sized by
-        # it, and every check before the first copy
-        for name, shape in shapes.items():
-            for stored in (name, f"/opt/{name}.m", f"/opt/{name}.v"):
-                record(stored, shape)
-        epoch = count("/meta/epoch", 0)
-        t_gen, t_head = count("/opt/gen.t", 0), count("/opt/head.t", 0)
-        for name in records:
-            if name not in checked:
-                raise NetworkError(f"checkpoint has unexpected record {name}")
-
-        def copy(name):
-            return np.array(records[name], dtype=PARAM_DTYPE)
-
-        def moments(tensors, t):
-            names = [f"/opt/{name}" for name, _ in tensors]
-            return AdamState([copy(f"{n}.m") for n in names], [copy(f"{n}.v") for n in names], t)
-
-        model = build_model(config.mode, n_classes, config.k, params={n: copy(n) for n in shapes})
+        if layout != _layout_id(shapes):
+            raise NetworkError(f"checkpoint layout id {layout:08x} is not this program's for {config.mode} "
+                               f"with {n_classes} classes")
+        stored = [*shapes.values()] * 3  # parameters, first moments, second moments
+        sizes = [math.prod(shape) for shape in stored]
+        if len(values) != sum(sizes):
+            raise NetworkError(f"checkpoint holds {len(values)} values, not {sum(sizes)}")
+        parts = np.split(values, np.cumsum(sizes)[:-1])
+        arrays = [np.array(part.reshape(shape), PARAM_DTYPE) for part, shape in zip(parts, stored)]
+        n = len(shapes)
+        params, m, v = arrays[:n], arrays[n : 2 * n], arrays[2 * n :]
+        model = build_model(config.mode, n_classes, config.k, params=dict(zip(shapes, params)))
+        g = len(model.gen_tensors())
         trainer = cls.__new__(cls)
-        trainer._start(config, model, moments(model.gen_tensors(), t_gen),
-                       moments(model.head_tensors(), t_head))
+        trainer._start(config, model, AdamState(m[:g], v[:g], t_gen), AdamState(m[g:], v[g:], t_head))
         trainer.epoch = epoch
         return trainer
 
 
 def metrics_csv(metrics) -> str:
-    buf = io.StringIO()
-    buf.write("epoch,g_loss,d_loss,train_acc\n")
-    for m in metrics:
-        buf.write(f"{m.epoch},{m.g_loss:.17g},{m.d_loss:.17g},{m.train_acc:.17g}\n")
-    return buf.getvalue()
+    """One header of `EpochMetrics`' field names, then one row per epoch."""
+    names = [f.name for f in fields(EpochMetrics)]
+    rows = [",".join(names)] + [",".join(format(getattr(m, n), ".17g") for n in names) for m in metrics]
+    return "".join(row + "\n" for row in rows)

@@ -5,7 +5,7 @@ import zlib
 import numpy as np
 import pytest
 
-from mdrnet import engine, network
+from mdrnet import engine, network, training
 from mdrnet.engine import Tensor
 
 
@@ -242,8 +242,41 @@ def gradient_suite_cases(rng):
 
 def seal(body):
     """`body` with the CRC32 trailer a checkpoint ends in, so crafted
-    record bytes reach the record parser."""
+    bytes reach the checks behind the checksum."""
     return bytes(body) + struct.pack("<I", zlib.crc32(body))
+
+
+# the header counts of a checkpoint, by the record names format 3 gave them
+COUNT_NAMES = ("/meta/mode_id", "/meta/n_classes", "/meta/k", "/meta/epoch", "/opt/gen.t", "/opt/head.t",
+               "/meta/layout_id")
+
+
+def checkpoint_parts(data):
+    """The counts and the flat values of `Trainer.save` bytes, each array
+    under its parameter's name or `/opt/{name}.m` / `.v` for its moments."""
+    counts, values = network.load_records(data)
+    shapes = training.param_shapes(training.MODES[counts[0]], counts[1])
+    names = [*shapes, *(f"/opt/{n}.m" for n in shapes), *(f"/opt/{n}.v" for n in shapes)]
+    sizes = [int(np.prod(shape)) for shape in shapes.values()] * 3
+    return list(counts), dict(zip(names, np.split(values, np.cumsum(sizes)[:-1])))
+
+
+def edited_checkpoint(data, name, value):
+    """`Trainer.save` bytes, resealed, with the part `name` (a count of
+    COUNT_NAMES or an array of `checkpoint_parts`) cut out if `value` is
+    None, else set to `value`; an array not in the table goes last."""
+    counts, parts = checkpoint_parts(data)
+    if name in COUNT_NAMES and value is None:
+        del counts[COUNT_NAMES.index(name)]
+        return seal(network.CHECKPOINT_MAGIC + struct.pack(f"<{len(counts)}I", *counts)
+                    + b"".join(a.tobytes() for a in parts.values()))
+    if name in COUNT_NAMES:
+        counts[COUNT_NAMES.index(name)] = value
+    elif value is None:
+        del parts[name]
+    else:
+        parts[name] = value
+    return network.save_records(counts, parts.values())
 
 
 @pytest.fixture

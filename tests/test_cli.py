@@ -9,7 +9,7 @@ import pytest
 from mdrnet import cli, voxel
 from mdrnet.cli import main
 
-from conftest import seal
+from conftest import edited_checkpoint
 
 
 def read_tree(root):
@@ -150,6 +150,19 @@ class TestTrainExtractEval:
             sums.append((out / "checkpoint.mdrnet").read_bytes())
         assert sums[0] == sums[1]
 
+    def test_zero_epochs_writes_the_untrained_run(self, dataset_dir, tmp_path, capsys):
+        from mdrnet import training
+
+        out = tmp_path / "zero"
+        out.mkdir()
+        cfg = out / "config.txt"
+        cfg.write_text(TINY_CONFIG.replace("epochs = 1", "epochs = 0"))
+        assert main(["train", "--config", str(cfg), "--data", str(dataset_dir), "--out", str(out)]) == 0
+        config = training.parse_config(cfg.read_bytes())
+        assert (out / "checkpoint.mdrnet").read_bytes() == training.Trainer(config, 4).save()
+        assert (out / "metrics.csv").read_text() == "epoch,g_loss,d_loss,train_acc\n"
+        assert capsys.readouterr().out == "final train accuracy: nan\n"
+
     def test_bad_config_exit_code(self, dataset_dir, tmp_path):
         cfg = tmp_path / "bad.txt"
         cfg.write_text("lr_gen = -1\n")
@@ -227,7 +240,7 @@ class TestTrainExtractEval:
 
         data = (run_dir / "checkpoint.mdrnet").read_bytes()
         old = tmp_path / "old.mdrnet"
-        for magic in (b"MDRNET1", b"MDRNET2"):
+        for magic in (b"MDRNET1", b"MDRNET2", b"MDRNET3"):
             old.write_bytes(magic + data[len(network.CHECKPOINT_MAGIC):])
             for cmd in ("extract", "eval"):
                 rc = main([
@@ -240,10 +253,10 @@ class TestTrainExtractEval:
         from mdrnet import network
 
         data = (run_dir / "checkpoint.mdrnet").read_bytes()
-        first = len(network.save_records({"/meta/mode_id": 0})) - 4
-        # inside the first name length and the first name, between the first
-        # two records, before and inside the checksum
-        for cut in (9, 15, first, len(data) - 4, len(data) - 1):
+        header = len(network.CHECKPOINT_MAGIC) + 4 * network.CHECKPOINT_COUNTS
+        # inside the magic and the counts, after the counts, inside the
+        # values, before and inside the checksum
+        for cut in (3, 9, header, header + 6, len(data) // 2, len(data) - 4, len(data) - 1):
             cut_path = tmp_path / f"cut{cut}.mdrnet"
             cut_path.write_bytes(data[:cut])
             for cmd in ("extract", "eval"):
@@ -431,17 +444,9 @@ def bad_inputs(dataset_dir, bad_manifests, tmp_path_factory):
                 "--split", "all", "--out", str(tmp / "out.ddsd")]
 
     cases = {}
-    for name, value in [
-        ("/meta/mode_id", 9), ("/meta/mode_id", -1),
-        ("/meta/n_classes", 4.5), ("/meta/epoch", -3), ("/meta/k", 4), ("/opt/gen.t", None),
-    ]:
-        records = network.load_records(good)
-        if value is None:
-            del records[name]
-        else:
-            records[name] = np.float64(value)
+    for name, value in [("/meta/mode_id", 9), ("/meta/n_classes", 0), ("/meta/k", 4), ("/opt/gen.t", None)]:
         path = tmp / f"{name.replace('/', '_')}{value}.mdrnet"
-        path.write_bytes(network.save_records(records))
+        path.write_bytes(edited_checkpoint(good, name, value))
         cases[f"checkpoint{name}={value}"] = extract(path)
 
     (tmp / "dim0.binvox").write_bytes(b"#binvox 1\ndim 0 30 30\ndata\n")
@@ -470,28 +475,28 @@ def bad_inputs(dataset_dir, bad_manifests, tmp_path_factory):
     cases["eval_duplicate_id"] = ["eval", "--descriptors", str(tmp / "twice.ddsd"),
                                   "--data", str(dataset_dir), "--out", str(tmp / "e")]
 
-    # a full checkpoint in the earlier layout: one record per gate, named
-    # by the stacked tensor plus the gate's letter (b_ in place of b)
-    full = training.Trainer(training.TrainConfig(mode="full", seed=7), 4).to_records()
-    per_gate = {name: array for name, array in full.items() if "gen.lstm." not in name}
-    c, kern, side = network.LSTM_CHANNELS, network.LSTM_KERNEL, network.LSTM_SPATIAL
-    for stem, gates, shape in (("w_x", "ifco", (c, c, kern, kern)), ("w_h", "ifco", (c, c, kern, kern)),
-                               ("w_c", "ifo", (c, side, side)), ("b_", "ifco", (c,))):
-        for gate in gates:
-            for prefix, suffix in (("", ""), ("/opt/", ".m"), ("/opt/", ".v")):
-                per_gate[f"{prefix}gen.lstm.{stem}{gate}{suffix}"] = np.zeros(shape)
-    (tmp / "per_gate.mdrnet").write_bytes(network.save_records(per_gate))
+    # a full checkpoint of the earlier layout, one ConvLSTM array per gate
+    # (named by the stacked tensor plus the gate's letter, b_ in place of b):
+    # the same values in the same order, under that table's layout id
+    per_gate = {}
+    for name, shape in training.param_shapes("full", 4).items():
+        if name.startswith("gen.lstm."):
+            stem = name.replace("gen.lstm.b", "gen.lstm.b_")
+            per_gate.update((stem + gate, shape[1:]) for gate in ("ifco" if shape[0] == 4 else "ifo"))
+        else:
+            per_gate[name] = shape
+    full = training.Trainer(training.TrainConfig(mode="full", seed=7), 4).save()
+    (tmp / "per_gate.mdrnet").write_bytes(
+        edited_checkpoint(full, "/meta/layout_id", training._layout_id(per_gate)))
     cases["checkpoint_per_gate_lstm"] = extract(tmp / "per_gate.mdrnet")
-    extra = {**network.load_records(good), "gen.extra": np.zeros(3)}
-    (tmp / "extra.mdrnet").write_bytes(network.save_records(extra))
+    (tmp / "extra.mdrnet").write_bytes(edited_checkpoint(good, "gen.extra", np.zeros(3)))
     cases["checkpoint_extra_record"] = extract(tmp / "extra.mdrnet")
+    (tmp / "missing.mdrnet").write_bytes(edited_checkpoint(good, "gen.enc0.b", np.zeros(31)))
+    cases["checkpoint_missing_value"] = extract(tmp / "missing.mdrnet")
     flipped = bytearray(good)
     flipped[len(good) // 2] ^= 0x10
     (tmp / "flipped.mdrnet").write_bytes(flipped)
     cases["checkpoint_flipped_byte"] = extract(tmp / "flipped.mdrnet")
-    again = network.save_records({"gen.enc0.b": np.ones(32)})[len(network.CHECKPOINT_MAGIC) : -4]
-    (tmp / "repeated.mdrnet").write_bytes(seal(good[:-4] + again))
-    cases["checkpoint_repeated_record"] = extract(tmp / "repeated.mdrnet")
 
     (tmp / "nul").mkdir()
     (tmp / "nul" / "manifest.tsv").write_bytes(b"s\x00.binvox\tc\ttest\n")
@@ -526,15 +531,14 @@ def bad_inputs(dataset_dir, bad_manifests, tmp_path_factory):
 
 
 BAD_INPUTS = [
-    "checkpoint/meta/mode_id=9", "checkpoint/meta/mode_id=-1",
-    "checkpoint/meta/n_classes=4.5", "checkpoint/meta/epoch=-3", "checkpoint/meta/k=4",
+    "checkpoint/meta/mode_id=9", "checkpoint/meta/n_classes=0", "checkpoint/meta/k=4",
     "checkpoint/opt/gen.t=None", "binvox_dim_0", "mdr_export_k0", "mdr_export_30x30x60", "extract_30x30x60",
     "extract_mixed", "extract_cube36", "extract_cube60", "eval_no_relevant_item",
     "eval_nan_descriptors", "eval_duplicate_id", "manifest_not_utf8", "extract_empty_split", "config_lr_nan",
     "config_not_utf8", "checkpoint_per_gate_lstm", "manifest_nul_path", "manifest_alias", "manifest_id_twice",
     "manifest_parent", "manifest_absolute", "train_manifest_alias", "synth_repeated_class",
     "train_one_class_cnn_only", "train_one_class_full", "checkpoint_extra_record", "config_repeated_key",
-    "config_decay_underflow", "synth_no_class", "checkpoint_flipped_byte", "checkpoint_repeated_record",
+    "config_decay_underflow", "synth_no_class", "checkpoint_flipped_byte", "checkpoint_missing_value",
 ]
 
 

@@ -307,55 +307,41 @@ class TestEndToEndGradient:
         assert report.passed, report
 
 
+COUNTS = (3, 4, 3, 2, 10, 11, 0xDEADBEEF)
+
+
 class TestCheckpointRecords:
     def test_round_trip(self, rng):
-        records = {
-            "a.w": rng.normal(size=(3, 4)).astype(np.float32),
-            "/opt/a.w.m": rng.normal(size=(3, 4)).astype(np.float32),
-            "/meta/scalar": np.float32(7.0),
-        }
-        loaded = load_records(save_records(records))
-        assert list(loaded) == list(records)
-        for k in records:
-            assert loaded[k].dtype == np.float32
-            assert np.array_equal(np.asarray(records[k]), loaded[k])
+        arrays = [rng.normal(size=(3, 4)).astype(np.float32), np.float32(7.0), np.zeros((2, 0), np.float32)]
+        counts, values = load_records(save_records(COUNTS, arrays))
+        assert counts == COUNTS and all(type(c) is int for c in counts)
+        assert values.dtype == np.float32 and not values.flags.writeable
+        assert np.array_equal(values, np.concatenate([np.ravel(a) for a in arrays]))
 
     def test_byte_layout(self):
-        # scalar, empty, non-contiguous and integer records, with a non-ASCII name
+        # scalar, empty, non-contiguous and integer arrays, back to back with no names or shapes
         t = np.arange(6.0).reshape(2, 3).T
-        records = {"/meta/s": np.float64(2.5), "é": np.zeros((2, 0)), "t": t, "i": np.arange(2)}
-        expected = network.CHECKPOINT_MAGIC
-        for name, shape, values in (
-            ("/meta/s", (), [2.5]),
-            ("é", (2, 0), []),
-            ("t", (3, 2), [0.0, 3.0, 1.0, 4.0, 2.0, 5.0]),
-            ("i", (2,), [0.0, 1.0]),
-        ):
-            nb = name.encode("utf-8")
-            expected += struct.pack(f"<I{len(nb)}sI{len(shape)}I", len(nb), nb, len(shape), *shape)
-            expected += struct.pack(f"<{len(values)}f", *values)
-        assert save_records(records) == seal(expected)
+        arrays = [np.float64(2.5), np.zeros((2, 0)), t, np.arange(2)]
+        values = [2.5, 0.0, 3.0, 1.0, 4.0, 2.0, 5.0, 0.0, 1.0]
+        expected = network.CHECKPOINT_MAGIC + struct.pack("<7I", *COUNTS) + struct.pack("<9f", *values)
+        assert save_records(COUNTS, arrays) == seal(expected)
+        assert network.CHECKPOINT_COUNTS == 7
 
     def test_magic_enforced(self):
         with pytest.raises(NetworkError):
-            load_records(b"NOTMAGIC" + bytes(16))
+            load_records(b"NOTMAGIC" + bytes(40))
 
     def test_previous_format_refused(self, rng):
         # MDRNET1 weights were trained without the encoder's feature
         # normalization and would give different descriptors; MDRNET2
-        # records are float64, with no checksum
-        data = save_records({"a.w": rng.normal(size=(2, 2))})
-        for magic in (b"MDRNET1", b"MDRNET2"):
+        # records are float64, with no checksum; MDRNET3 records are named
+        data = save_records(COUNTS, [rng.normal(size=(2, 2))])
+        for magic in (b"MDRNET1", b"MDRNET2", b"MDRNET3"):
             with pytest.raises(NetworkError, match="magic"):
                 load_records(magic + data[len(network.CHECKPOINT_MAGIC):])
 
     def test_every_truncation_is_typed(self, rng):
-        records = {
-            "a.w": rng.normal(size=(3, 4)),
-            "/meta/scalar": np.float64(7.0),
-            "b.v": rng.normal(size=5),
-        }
-        data = save_records(records)
+        data = save_records(COUNTS, [rng.normal(size=(3, 4)), np.float64(7.0), rng.normal(size=5)])
         for cut in range(len(data)):
             with pytest.raises(NetworkError):
                 load_records(data[:cut])
@@ -370,28 +356,11 @@ class TestCheckpointRecords:
             with pytest.raises(NetworkError):
                 load_records(bad)
 
-    def test_repeated_name_rejected(self):
-        data = Trainer(TrainConfig(mode="cnn_only", seed=7), 4).save()
-        again = save_records({"gen.enc0.b": np.ones(32)})[len(network.CHECKPOINT_MAGIC) : -4]
-        with pytest.raises(NetworkError, match="repeats record gen.enc0.b"):
-            load_records(seal(data[:-4] + again))
-
-    def test_oversized_lengths_rejected(self):
-        magic = network.CHECKPOINT_MAGIC
-        for body in (
-            struct.pack("<I", 0xFFFFFFFF) + b"a",  # name length
-            struct.pack("<I", 1) + b"a" + struct.pack("<I", 0xFFFFFFFF),  # rank
-            struct.pack("<I", 1) + b"a" + struct.pack("<3I", 1, 0xFFFFFFFF, 0xFFFFFFFF),
-        ):
-            with pytest.raises(NetworkError, match="truncated"):
-                load_records(seal(magic + body))
-
-    def test_non_utf8_name_rejected(self):
-        data = save_records({"ab": np.zeros(2)})
-        magic = len(network.CHECKPOINT_MAGIC)
-        bad = data[: magic + 4] + b"\xff\xfe" + data[magic + 6 : -4]
-        with pytest.raises(NetworkError, match="UTF-8"):
-            load_records(seal(bad))
+    def test_partial_value_rejected(self):
+        data = save_records(COUNTS, [np.zeros(2)])
+        for extra in (b"\x00", b"\x00" * 3):
+            with pytest.raises(NetworkError, match="whole float32 values"):
+                load_records(seal(data[:-4] + extra))
 
 
 class TestDescriptorFiles:

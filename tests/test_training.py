@@ -1,5 +1,4 @@
 import hashlib
-import re
 import tracemalloc
 
 import numpy as np
@@ -17,6 +16,8 @@ from mdrnet.training import (
     parse_config,
     prepare_inputs,
 )
+
+from conftest import checkpoint_parts, edited_checkpoint
 
 N_CLASSES = 4
 
@@ -213,16 +214,29 @@ class TestSteps:
         with pytest.raises(training.TrainingError):
             tr.g_step(x[:0], y[:0])
 
-    @pytest.mark.parametrize("step", ["d_step", "g_step"])
-    def test_non_finite_batch_raises_and_moves_nothing(self, batch, step):
+    @pytest.mark.parametrize("mode, step, cause", [
+        ("full", "d_step", "batch"), ("full", "g_step", "batch"),
+        ("cnn_rnn", "g_step", "logits"), ("full", "g_step", "logits"), ("full", "d_step", "logits"),
+    ], ids=["d_step", "g_step", "cnn_rnn-g_step-logits", "full-g_step-logits", "full-d_step-logits"])
+    def test_non_finite_batch_raises_and_moves_nothing(self, batch, mode, step, cause):
         """One NaN cell gives that shape's latent, the loss and the
-        gradients NaN: the step is a TrainingError, and every parameter,
-        Adam moment and step count stays as it was."""
+        gradients NaN; a last bias at -3e38 with one entry at 3e38 gives
+        float32 logits whose loss overflows while every gradient stays
+        finite. Either step is a TrainingError, and every parameter, Adam
+        moment and step count stays as it was."""
         x, y, _ = batch
-        tr = Trainer(TrainConfig(mode="full", seed=6), N_CLASSES)
-        tr.d_step(x)
+        tr = Trainer(TrainConfig(mode=mode, seed=6), N_CLASSES)
+        if tr.model.adversarial:
+            tr.d_step(x)
         tr.g_step(x, y)  # moments and step counts away from their start
         opts = (tr.opt_gen, tr.opt_head)
+        bad = x.copy()
+        if cause == "batch":
+            bad[1, 4, 15, 15] = np.nan
+        else:
+            bias = tr.model.head[-1][1].data
+            bias[:] = -3e38
+            bias[0] = 3e38
 
         def state():
             arrays = [t.data for t in tr.model.params.values()]
@@ -230,12 +244,10 @@ class TestSteps:
             return [a.copy() for a in arrays], [opt.state.t for opt in opts]
 
         before = state()
-        bad = x.copy()
-        bad[1, 4, 15, 15] = np.nan
-        with pytest.raises(training.TrainingError, match="non-finite gradient"):
+        with np.errstate(over="ignore"), pytest.raises(training.TrainingError, match="non-finite loss"):
             getattr(tr, step)(bad, y)
         after = state()
-        assert after[1] == before[1] == [1, 2]
+        assert after[1] == before[1] == ([1, 2] if tr.model.adversarial else [1, 1])
         assert all(np.array_equal(a, b) for a, b in zip(after[0], before[0]))
         assert tr._latent is None
 
@@ -316,10 +328,7 @@ class TestSharedForward:
         shared, fresh = Trainer(cfg, N_CLASSES), FreshForwardTrainer(cfg, N_CLASSES)
         for _ in range(2):
             assert shared.train_epoch(x, y) == fresh.train_epoch(x, y)
-        got, want = shared.to_records(), fresh.to_records()
-        assert list(got) == list(want)
-        for name in want:  # every parameter, Adam moment and step count
-            assert np.array_equal(got[name], want[name]), name
+        assert shared.save() == fresh.save()  # every parameter, Adam moment and step count
 
     def test_one_latent_per_adversarial_batch(self, monkeypatch):
         calls = []
@@ -376,20 +385,23 @@ class TestCheckpoint:
         assert tr2.save() == data
 
     def test_restore_resumes_identically(self):
+        """In every mode. A byte round trip shows only what the file holds;
+        a resumed epoch also shows what restore takes from the config it is given."""
         x, y, _ = small_batch(4)
-        cfg = TrainConfig(mode="cnn_rnn", batch_size=4, seed=2)
-        tr = Trainer(cfg, N_CLASSES)
-        tr.train_epoch(x, y)
-        resumed = Trainer.restore(tr.save(), cfg)
-        tr.train_epoch(x, y)
-        resumed.train_epoch(x, y)
-        assert resumed.save() == tr.save()
+        for mode in training.MODES:
+            cfg = TrainConfig(mode=mode, batch_size=4, seed=2)
+            tr = Trainer(cfg, N_CLASSES)
+            tr.train_epoch(x, y)
+            resumed = Trainer.restore(tr.save(), cfg)
+            tr.train_epoch(x, y)
+            resumed.train_epoch(x, y)
+            assert resumed.save() == tr.save(), mode
 
     def test_config_must_match_checkpoint(self):
         data = Trainer(TrainConfig(mode="full", k=3, seed=7), N_CLASSES).save()
-        for config, record in ((TrainConfig(mode="cnn_adv"), "/meta/mode_id"),
-                               (TrainConfig(mode="full", k=5), "/meta/k")):
-            with pytest.raises(NetworkError, match=record):
+        for config, message in ((TrainConfig(mode="cnn_adv"), "checkpoint mode is 'full' but the config has 'cnn_adv'"),
+                                (TrainConfig(mode="full", k=5), "checkpoint k is 3 but the config has 5")):
+            with pytest.raises(NetworkError, match=message):
                 Trainer.restore(data, config)
 
     def test_extract_reproducible(self):
@@ -409,52 +421,61 @@ class TestCheckpoint:
         assert back_ids == ids and back.dtype == np.float64 and back.tobytes() == vecs.tobytes()
 
     # The epoch-0 checkpoint pins every initialiser and its RNG draw order:
-    # float64 draws rounded to the float32 parameters, saved as f4.
+    # float64 draws rounded to the float32 parameters, saved as f4 in
+    # format 4 (MDRNET4), whose bytes differ from format 3's only in the
+    # header: the same values, in the same order, without record names.
     # Init makes no BLAS call, so the digests hold for a given NumPy build.
     @pytest.mark.parametrize("mode, digest", [
-        ("cnn_only", "ded689c4f37616593965465b89c2886a95a4dfafcb06dd7b3acf059b4086bc78"),
-        ("cnn_rnn", "7fab4a82915525d6ecea04b6165ceb43dc3b784a49e5437bcf51f910a176f80e"),
-        ("cnn_adv", "fbf05c29043eab2833a5755ba23f34d8364293bbd7404e692f7e23597f997003"),
-        ("full", "c282597e63b12671486dd8c4a44484d5ab9156953977a215171617f3b793b0de"),
+        ("cnn_only", "5483054d5e6ed4a18f6fb15d1f4e2904025ed27b11e0ecbdfdcc6edd64414e02"),
+        ("cnn_rnn", "a08d75421dfe014271d33c10fbb2929a7a26f874c63a0e41fa437d0bc835b198"),
+        ("cnn_adv", "a22ca45d728b7fe47d0aada20fa94a00f849ab77f728eb00d828c227e30e9be4"),
+        ("full", "5d2fbf05e4a16c33df44d30dc8726fea4f87d9e062da7fc4df3816cc14fdd9fe"),
     ])
     def test_initial_checkpoint_digest(self, mode, digest):
         data = Trainer(TrainConfig(mode=mode, seed=7), N_CLASSES).save()
         assert hashlib.sha256(data).hexdigest() == digest
 
+    # Each fault a format-3 record could hold, by the name format 3 gave it,
+    # where the fault can still be written: a count out of range, a header
+    # cut short, a wrong layout id, and values missing, misshapen or extra,
+    # which leave too few or too many values. Each is refused before the
+    # model is built.
     @pytest.mark.parametrize("name, value", [
         ("/meta/mode_id", 9),
-        ("/meta/mode_id", -1),
-        ("/meta/mode_id", 0.5),
-        ("/opt/gen.t", 0.5),
-        ("/meta/n_classes", 4.5),
+        ("/meta/mode_id", 4),
+        ("/meta/mode_id", 2**32 - 1),
         ("/meta/n_classes", 0),
+        ("/meta/n_classes", 1),
+        ("/meta/n_classes", 2**32 - 1),  # the layout of that many classes differs
         ("/meta/k", 0),
-        ("/meta/k", [3.0, 3.0]),
-        ("/meta/epoch", -3),
-        ("/meta/epoch", np.nan),
+        ("/meta/layout_id", 0),
         ("/meta/k", None),
         ("/opt/gen.t", None),
-        ("/opt/head.t", -1),
+        ("/opt/head.t", None),
         ("/opt/gen.enc0.w.m", None),
+        ("gen.enc0.w", None),
+        ("gen.lstm.w_x", "full"),  # with its Adam moments, from a model of that mode
         ("/opt/head.fc0.b.v", np.zeros(3)),
         ("gen.enc0.b", np.zeros(3)),
-        ("/meta/n_classes", np.inf),
-        ("gen.extra", np.zeros(3)),
-        ("gen.lstm.w_x", "full"),  # with its Adam moments, from a model of that mode
+        ("/meta/layout_id", None),
+        ("gen.extra", np.zeros(1)),  # one value too many
+        ("gen.enc0.b", np.zeros(31)),  # one value too few
     ])
-    def test_bad_record_rejected(self, name, value):
-        records = network.load_records(Trainer(TrainConfig(mode="cnn_only", seed=7), N_CLASSES).save())
-        assert (name in records) == (name not in ("gen.extra", "gen.lstm.w_x"))
-        if value is None:
-            del records[name]
-        elif isinstance(value, str):
-            other = Trainer(TrainConfig(mode=value, seed=7), N_CLASSES).to_records()
+    def test_bad_record_rejected(self, name, value, monkeypatch):
+        data = Trainer(TrainConfig(mode="cnn_only", seed=7), N_CLASSES).save()
+        if isinstance(value, str):
+            _, other = checkpoint_parts(Trainer(TrainConfig(mode=value, seed=7), N_CLASSES).save())
             for added in (name, f"/opt/{name}.m", f"/opt/{name}.v"):
-                records[added] = other[added]
+                data = edited_checkpoint(data, added, other[added])
         else:
-            records[name] = np.asarray(value, dtype=np.float64)
-        with pytest.raises(NetworkError, match=re.escape(name)):
-            Trainer.restore(network.save_records(records))
+            data = edited_checkpoint(data, name, value)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("build_model ran before the checkpoint was checked")
+
+        monkeypatch.setattr(training, "build_model", refuse)
+        with pytest.raises(NetworkError, match="out of range|layout id|values, not"):
+            Trainer.restore(data)
 
     def test_restored_trainer_does_not_alias_its_input(self):
         x, y, _ = small_batch(4)
@@ -506,26 +527,27 @@ class TestCheckpoint:
                     assert a.flags.writeable and a.flags.c_contiguous and a.flags.owndata
 
     def test_n_classes_checked_before_model_is_built(self, monkeypatch):
-        records = network.load_records(Trainer(TrainConfig(mode="cnn_only", seed=7), N_CLASSES).save())
-        records["/meta/n_classes"] = np.float64(200_000)
+        data = edited_checkpoint(Trainer(TrainConfig(mode="cnn_only", seed=7), N_CLASSES).save(),
+                                 "/meta/n_classes", 200_000)
 
         def refuse(*args, **kwargs):
             raise AssertionError("build_model ran before n_classes was checked")
 
         monkeypatch.setattr(training, "build_model", refuse)
-        with pytest.raises(NetworkError, match="head.fc1.w"):
-            Trainer.restore(network.save_records(records))
+        with pytest.raises(NetworkError, match="layout id .* for cnn_only with 200000 classes"):
+            Trainer.restore(data)
 
     def test_unexpected_record_refused_before_model_is_built(self, monkeypatch):
-        records = network.load_records(Trainer(TrainConfig(mode="cnn_only", seed=7), N_CLASSES).save())
-        records["gen.extra"] = np.zeros(3, np.float32)
+        data = edited_checkpoint(Trainer(TrainConfig(mode="cnn_only", seed=7), N_CLASSES).save(),
+                                 "gen.extra", np.zeros(3, np.float32))
 
         def refuse(*args, **kwargs):
-            raise AssertionError("build_model ran before the unexpected record was refused")
+            raise AssertionError("build_model ran before the unexpected values were refused")
 
         monkeypatch.setattr(training, "build_model", refuse)
-        with pytest.raises(NetworkError, match="unexpected record gen.extra"):
-            Trainer.restore(network.save_records(records))
+        n_values = 3 * sum(int(np.prod(s)) for s in training.param_shapes("cnn_only", N_CLASSES).values())
+        with pytest.raises(NetworkError, match=f"checkpoint holds {n_values + 3} values, not {n_values}"):
+            Trainer.restore(data)
 
 
 class TestMetricsCsv:

@@ -11,8 +11,11 @@ digits of the SHA-256 of
 - the epoch-0 and 2-epoch checkpoints of each mode, trained on every shape
   of `build_synthetic_dataset(SYNTHETIC_CLASSES, 8, 3)` with batch size 8
   and seed 7, and what `Trainer.restore` of the 2-epoch checkpoint saves
-  again, which must equal it (the only digest that covers restored Adam
-  moments): the script exits non-zero, naming the mode, where it does not;
+  again, which must equal it: the script exits non-zero, naming the mode,
+  where it does not. The restored trainer's next epoch must also save the
+  same bytes as the original's, which covers what the file cannot show,
+  such as the config the restore is given: the script exits non-zero,
+  naming the mode, where it does not;
 - the DDSD bytes of `Trainer.extract` over one batch of 64 shapes
   (`build_synthetic_dataset(SYNTHETIC_CLASSES, 16, 3)`, all splits, a
   seed-7 `full` model): 576 slices per encoder conv, so `enc0`-`enc2`
@@ -65,10 +68,15 @@ def checkpoint_digests():
         for _ in range(2):
             trainer.train_epoch(x, y)
         data = trainer.save()
-        restored = short(training.Trainer.restore(data).save())
+        resumed = training.Trainer.restore(data, trainer.config)
+        restored = short(resumed.save())
         print(f"checkpoint {mode:8s} epoch 0 {initial}  2 epochs {short(data)}  restored {restored}")
         if restored != short(data):
             sys.exit(f"checkpoint {mode}: the restored checkpoint saves as {restored}, not {short(data)}")
+        trainer.train_epoch(x, y)
+        resumed.train_epoch(x, y)
+        if resumed.save() != trainer.save():
+            sys.exit(f"checkpoint {mode}: the restored trainer's next epoch saves other bytes than the original's")
 
 
 def extract_digest():
