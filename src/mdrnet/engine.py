@@ -296,28 +296,33 @@ def conv2d(x, kernels, bias=None, stride=2):
         if kernels.requires_grad:
             rows = np.empty((N, K), dtype)
             np.copyto(rows.reshape(B, ho, wo, kh, kw, ci), win)
-            dw = (gr.T @ rows).reshape(co, kh, kw, ci)
+            dw = (rows.T @ gr).reshape(kh, kw, ci, co)
             del rows
-            kernels.accumulate(np.ascontiguousarray(dw.transpose(0, 3, 1, 2)))
+            kernels.accumulate(np.ascontiguousarray(dw.transpose(3, 2, 0, 1)))
         if bias is not None and bias.requires_grad:
             bias.accumulate(gr.sum(axis=0))
         if x.requires_grad:
             # col2im channels-last, one block of whole images at a time through
-            # one scratch dcols: each tap slab is a run of whole channel rows
-            dxp = np.zeros((B, Hp, Wp, ci), dtype)
+            # one scratch dcols. Tap (a*s + p, c*s + q) lands on phase (p, q) of
+            # the (B, Hq, s, Wq, s, ci) view of dxp, shifted by (a, c), so one
+            # slab add per (a, c) takes every phase at once; each cell gets its
+            # adds in (a, c) order, as one add per tap in (i, j) order would.
+            s = stride
+            Hq, Wq = -(-Hp // s), -(-Wp // s)
+            dxp = np.zeros((B, Hq * s, Wq * s, ci), dtype)
             dcols = np.empty((min(B, images), ho, wo, kh, kw, ci), dtype)
             for b in range(0, B, images):
                 n = min(images, B - b)
                 r0, r1 = b * ho * wo, (b + n) * ho * wo
                 np.matmul(gr[r0:r1], wr, out=dcols[:n].reshape(r1 - r0, K))
-                dst = dxp[b : b + n]
-                for i in range(kh):
-                    for j in range(kw):
-                        dst[:, i : i + stride * ho : stride, j : j + stride * wo : stride] += (
-                            dcols[:n, :, :, i, j]
+                dst = dxp[b : b + n].reshape(n, Hq, s, Wq, s, ci)
+                for a in range(0, kh, s):
+                    for c in range(0, kw, s):
+                        dst[:, a // s : a // s + ho, : kh - a, c // s : c // s + wo, : kw - c] += (
+                            dcols[:n, :, :, a : a + s, c : c + s].transpose(0, 1, 3, 2, 4, 5)
                         )
             del gr, dcols
-            dx = dxp[:, pl_h : Hp - ph_h or None, pl_w : Wp - ph_w or None].transpose(0, 3, 1, 2)
+            dx = dxp[:, pl_h : pl_h + H, pl_w : pl_w + W].transpose(0, 3, 1, 2)
             x.accumulate(dx)
 
     return _make(out, parents, backward)

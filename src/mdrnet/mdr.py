@@ -42,16 +42,14 @@ def compute_mdr(grid: VoxelGrid, k: int) -> MdrSequence:
         raise MdrError(f"grid {dx}x{dy}x{dz} is not a cube")
     if dx % k != 0:
         raise MdrError(f"k={k} does not divide dimension {dx}; valid divisors: {valid_slice_counts(dx)}")
-    arr = grid.to_array().astype(np.int64)  # [x, y, z]
     n = dx // k
-    slices = []
-    for i in range(k):  # z segments -> rows x, cols y
-        slices.append(arr[:, :, i * n : (i + 1) * n].sum(axis=2))
-    for i in range(k):  # x segments -> rows y, cols z
-        slices.append(arr[i * n : (i + 1) * n].sum(axis=0))
-    for i in range(k):  # y segments -> rows x, cols z
-        slices.append(arr[:, i * n : (i + 1) * n, :].sum(axis=1))
-    slices = np.stack(slices)
+    occ = grid.occupancy.reshape(dx, dx, dx)  # the raw [x, z, y] order
+    acc = np.min_scalar_type(n)  # a segment sums at most n cells of 0 or 1
+    slices = np.empty((3 * k, dx, dx), np.int64)
+    # z segments -> rows x, cols y; x segments -> rows y, cols z; y segments -> rows x, cols z
+    slices[:k] = np.einsum("xkny->kxy", occ.reshape(dx, k, n, dx), dtype=acc)
+    slices[k : 2 * k] = np.einsum("knzy->kyz", occ.reshape(k, n, dx, dx), dtype=acc)
+    slices[2 * k :] = np.einsum("xzkn->kxz", occ.reshape(dx, dx, k, n), dtype=acc)
     slices.setflags(write=False)
     return MdrSequence(k=k, n=n, slices=slices)
 

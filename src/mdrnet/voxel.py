@@ -1,9 +1,10 @@
 """Binary voxel occupancy grids: binvox I/O, synthetic shapes, datasets.
 
 Cell ordering follows the binvox convention: x-major with y fastest,
-flat index = x*dy*dz + z*dy + y. Only `VoxelGrid.from_array` and
-`VoxelGrid.to_array` know that order; other modules read cells as
-(x, y, z) through `to_array`, never through raw indices.
+flat index = x*dy*dz + z*dy + y. Only `VoxelGrid.from_array`,
+`VoxelGrid.to_array` and `mdr.compute_mdr` (which sums the raw cells)
+know that order; other modules read cells as (x, y, z) through
+`to_array`, never through raw indices.
 """
 from __future__ import annotations
 
@@ -43,7 +44,7 @@ class VoxelGrid:
                 f"occupancy length {occ.shape} != dx*dy*dz = {dx * dy * dz}"
             )
         # the raw values: a uint8 cast would wrap 256 to 0 and truncate 1.5 to 1
-        if not np.isin(occ, (0, 1)).all():
+        if not ((occ == 0) | (occ == 1)).all():
             raise ValueError("occupancy cells must be 0 or 1")
         occ = occ.astype(np.uint8)  # an owned copy, so the caller's array stays writable
         occ.setflags(write=False)
@@ -132,7 +133,7 @@ def load_binvox(data: bytes) -> VoxelGrid:
         raise BinvoxError("odd RLE payload length")
     values = rle[0::2]
     counts = rle[1::2].astype(np.int64)
-    if not np.isin(values, (0, 1)).all():
+    if (values > 1).any():
         raise BinvoxError("RLE value octet not in {0, 1}")
     if (counts < 1).any():
         raise BinvoxError("RLE count octet out of [1, 255]")
@@ -151,19 +152,14 @@ def save_binvox(grid: VoxelGrid) -> bytes:
         f"#binvox 1\ndim {dx} {dy} {dz}\ntranslate 0 0 0\nscale 1\ndata\n"
     ).encode("ascii")
     occ = grid.occupancy
-    boundaries = np.flatnonzero(np.diff(occ)) + 1
-    starts = np.concatenate(([0], boundaries))
-    ends = np.concatenate((boundaries, [occ.size]))
-    out = bytearray(header)
-    for s, e in zip(starts, ends):
-        value = int(occ[s])
-        run = int(e - s)
-        while run > 0:
-            chunk = min(run, 255)
-            out.append(value)
-            out.append(chunk)
-            run -= chunk
-    return bytes(out)
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(occ)) + 1))
+    full, rest = np.divmod(np.diff(starts, append=occ.size), 255)
+    chunks = full + (rest > 0)  # r // 255 chunks of 255 cells, then one of r % 255 if that is not 0
+    pairs = np.empty((int(chunks.sum()), 2), np.uint8)
+    pairs[:, 0] = np.repeat(occ[starts], chunks)
+    pairs[:, 1] = 255
+    pairs[np.cumsum(chunks)[rest > 0] - 1, 1] = rest[rest > 0]
+    return header + pairs.tobytes()
 
 
 # ---------------------------------------------------------------------------

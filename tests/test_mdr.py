@@ -100,6 +100,23 @@ class TestComputeMdr:
         g = random_grid(np.random.default_rng(seed), dim=6, p=0.4)
         assert np.array_equal(compute_mdr(g, k).slices, brute_force_mdr(g, k))
 
+    @pytest.mark.parametrize("dim", [255, 256])
+    def test_segment_of_255_and_256_cells(self, dim):
+        """k = 1 makes n = dim, the widest sum a uint8 accumulator holds and
+        the first that needs more: full lines along every axis reach n."""
+        rng = np.random.default_rng(dim)
+        arr = np.zeros((dim, dim, dim), dtype=np.uint8)
+        arr[3, 5, :] = arr[:, 7, 11] = arr[13, :, 17] = 1
+        arr[tuple(rng.integers(0, dim, size=(3, 500)))] = 1
+        g = VoxelGrid.from_array(arr)
+        seq = compute_mdr(g, 1)
+        assert seq.n == dim
+        assert seq.slices.dtype == np.int64 and not seq.slices.flags.writeable
+        assert seq.slices.max() == dim
+        assert np.array_equal(seq.slices, brute_force_mdr(g, 1))
+        full = compute_mdr(VoxelGrid((dim,) * 3, np.ones(dim**3, dtype=np.uint8)), 1)
+        assert (full.slices == dim).all()
+
     def test_value_bound(self):
         g = random_grid(np.random.default_rng(8), p=0.9)
         seq = compute_mdr(g, 3)

@@ -21,6 +21,21 @@ def random_grid(rng, dim=30, p=0.5):
     return VoxelGrid.from_array(rng.random((dim, dim, dim)) < p)
 
 
+def save_binvox_loop(grid):
+    """Oracle: the per-run loop `save_binvox` replaced, one pair per chunk."""
+    dx, dy, dz = grid.dims
+    out = bytearray(f"#binvox 1\ndim {dx} {dy} {dz}\ntranslate 0 0 0\nscale 1\ndata\n".encode("ascii"))
+    occ = grid.occupancy
+    boundaries = np.flatnonzero(np.diff(occ)) + 1
+    for s, e in zip(np.concatenate(([0], boundaries)), np.concatenate((boundaries, [occ.size]))):
+        run = int(e - s)
+        while run > 0:
+            chunk = min(run, 255)
+            out += bytes([int(occ[s]), chunk])
+            run -= chunk
+    return bytes(out)
+
+
 def encode(pairs, dims=(30, 30, 30)):
     header = f"#binvox 1\ndim {dims[0]} {dims[1]} {dims[2]}\ndata\n".encode()
     return header + bytes(itertools.chain.from_iterable(pairs))
@@ -54,8 +69,9 @@ class TestLoadBinvox:
             load_binvox(b"#binvox 1\ndim 2 2 2\ndata\n" + bytes([0, 7]))
 
     def test_bad_value_octet(self):
-        with pytest.raises(BinvoxError):
-            load_binvox(b"#binvox 1\ndim 2 2 2\ndata\n" + bytes([2, 8]))
+        for value in (2, 255):
+            with pytest.raises(BinvoxError, match=r"^RLE value octet not in \{0, 1\}$"):
+                load_binvox(b"#binvox 1\ndim 2 2 2\ndata\n" + bytes([0, 4, value, 4]))
 
 
 class TestSaveBinvox:
@@ -91,6 +107,22 @@ class TestSaveBinvox:
             assert g2 == g
             assert save_binvox(g2) == stream
 
+    @pytest.mark.parametrize("value", [0, 1])
+    def test_uniform_grids_match_loop(self, value):
+        for dims in ((30, 30, 30), (1, 1, 1), (255, 1, 1), (256, 2, 1)):
+            grid = VoxelGrid(dims, np.full(np.prod(dims), value, dtype=np.uint8))
+            assert save_binvox(grid) == save_binvox_loop(grid)
+
+    @given(st.lists(st.sampled_from([1, 2, 3, 254, 255, 256, 509, 510, 511]), min_size=1, max_size=12),
+           st.integers(0, 1))
+    @settings(max_examples=50, deadline=None)
+    def test_matches_loop_on_runs_near_chunk_edges(self, runs, first):
+        values = (np.arange(len(runs)) + first) % 2
+        grid = VoxelGrid((sum(runs), 1, 1), np.repeat(values, runs))
+        stream = save_binvox(grid)
+        assert stream == save_binvox_loop(grid)
+        assert load_binvox(stream) == grid
+
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_round_trip_property(self, seed):
@@ -118,6 +150,18 @@ class TestGridValues:
             VoxelGrid((1, 1, 1), np.array([value]))
         with pytest.raises(ValueError):
             VoxelGrid.from_array(np.array([[[0, value]]]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1])
+    def test_non_finite_and_negative_rejected(self, value):
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            VoxelGrid((2, 1, 1), np.array([0.0, value]))
+
+    @pytest.mark.parametrize("occ", [np.array([False, True]), np.array([0.0, 1.0]), np.array([-0.0, 1.0])],
+                             ids=["bool", "float", "negative-zero"])
+    def test_bool_and_float_cells_accepted(self, occ):
+        grid = VoxelGrid((2, 1, 1), occ)
+        assert grid.occupancy.dtype == np.uint8
+        assert grid.occupancy.tolist() == [0, 1]
 
     def test_callers_array_stays_writable_and_unshared(self):
         occ = np.array([0, 1, 1, 0], dtype=np.uint8)

@@ -22,17 +22,19 @@ digits of the SHA-256 of
   each run several row blocks. The trainer restored from that model's own
   checkpoint must give the same bytes: the script exits non-zero, naming
   the check, where it does not;
-- every file of the CLI recipe: `dataset-synth --per-class 8 --seed 3`,
-  `train` (`mode = full`, `seed = 7`, `epochs = 1`, `batch_size = 8`),
-  `extract` on the test split and with `--split all`, and
-  `eval --checkpoint`;
+- every file of the CLI recipe: `dataset-synth --per-class 8 --seed 3`
+  (its binvox files), `mdr-export --images` of its `pyramid_0003` shape at
+  `--k 3` and at `--k 5`, `train` (`mode = full`, `seed = 7`,
+  `epochs = 1`, `batch_size = 8`), `extract` on the test split and with
+  `--split all`, and `eval --checkpoint`;
 - the files of `eval --descriptors` on a table of 400 shapes
   (`dataset-synth --per-class 100 --seed 3`) whose 1024-d descriptors,
   drawn from seed 5 around one centre per class, hold exact duplicates and
   near-duplicates one ulp (`nextafter`) or 1e-9 apart, under permuted rows:
   the ties that retrieval ranking must break as the per-pair norm does.
 
-The `pr/*.csv` files are hashed concatenated in sorted path order.
+The binvox files, each `mdr-export` directory's files and the `pr/*.csv`
+files are hashed concatenated in sorted path order.
 
 Two checkouts whose outputs are byte-identical print the same digests on
 the same NumPy/BLAS build; other builds round differently. Everything is
@@ -97,11 +99,14 @@ def run(argv):
         sys.exit(f"mdrnet {' '.join(argv)} exited {code}")
 
 
+def concatenated(paths):
+    return short(b"".join(p.read_bytes() for p in sorted(paths)))
+
+
 def eval_digests(ev):
-    curves = b"".join(p.read_bytes() for p in sorted((ev / "pr").rglob("*.csv")))
     return (("summary.txt", short((ev / "summary.txt").read_bytes())),
             ("macro_pr.csv", short((ev / "macro_pr.csv").read_bytes())),
-            ("pr/*.csv", short(curves)))
+            ("pr/*.csv", concatenated((ev / "pr").rglob("*.csv"))))
 
 
 def tie_table(ids, labels):
@@ -136,12 +141,18 @@ def recipe_digests(root):
     config.write_text(RECIPE_CONFIG)
     checkpoint = run_dir / "checkpoint.mdrnet"
     run(["dataset-synth", "--per-class", "8", "--seed", "3", "--out", str(data)])
+    inputs = [("*.binvox", concatenated(data.glob("*.binvox")))]
+    for k in (3, 5):
+        run(["mdr-export", "--in", str(data / "pyramid_0003.binvox"), "--k", str(k), "--images",
+             "--out", str(root / f"mdr{k}")])
+        inputs.append((f"mdr k={k}", concatenated((root / f"mdr{k}").iterdir())))
     run(["train", "--config", str(config), "--data", str(data), "--out", str(run_dir)])
     for split, name in (("test", "test.ddsd"), ("all", "all.ddsd")):
         run(["extract", "--checkpoint", str(checkpoint), "--data", str(data), "--split", split,
              "--out", str(root / name)])
     run(["eval", "--checkpoint", str(checkpoint), "--data", str(data), "--out", str(ev)])
-    for label, digest in (("checkpoint", short(checkpoint.read_bytes())),
+    for label, digest in (*inputs,
+                          ("checkpoint", short(checkpoint.read_bytes())),
                           ("test.ddsd", short((root / "test.ddsd").read_bytes())),
                           ("all.ddsd", short((root / "all.ddsd").read_bytes())),
                           *eval_digests(ev)):
