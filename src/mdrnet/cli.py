@@ -113,16 +113,12 @@ def cmd_train(args):
     print(f"final train accuracy: {final_acc:.4f}")
 
 
-def _restore_trainer(checkpoint):
-    return training.Trainer.restore(Path(checkpoint).read_bytes())
-
-
 def cmd_extract(args):
-    trainer = _restore_trainer(args.checkpoint)
+    model = training.restore_model(Path(args.checkpoint).read_bytes())
     dataset = _load_dataset(args.data)
     shapes = dataset.subset(args.split) if args.split != "all" else dataset.shapes
-    x, _, ids = training.prepare_inputs(shapes, trainer.model.k)
-    vecs = trainer.extract(x)
+    x, _, ids = training.prepare_inputs(shapes, model.k)
+    vecs = model.extract(x)
     write_atomic(Path(args.out), network.save_descriptors(ids, vecs))
     print(f"wrote {len(ids)} descriptors to {args.out}")
 
@@ -135,12 +131,9 @@ def cmd_eval(args):
     labels = {s.shape_id: s.label for s in dataset.shapes}
     summary = {}
 
-    trainer = _restore_trainer(args.checkpoint) if args.checkpoint else None
-    if trainer is not None and len(dataset.classes) != trainer.model.n_classes:
-        raise UsageError(
-            f"checkpoint was trained for {trainer.model.n_classes} classes, "
-            f"dataset has {len(dataset.classes)}"
-        )
+    model = training.restore_model(Path(args.checkpoint).read_bytes()) if args.checkpoint else None
+    if model is not None and len(dataset.classes) != model.n_classes:
+        raise UsageError(f"checkpoint was trained for {model.n_classes} classes, dataset has {len(dataset.classes)}")
 
     if args.descriptors:
         ids, vecs = network.load_descriptors(Path(args.descriptors).read_bytes())
@@ -148,16 +141,14 @@ def cmd_eval(args):
         if missing:
             raise UsageError(f"descriptor ids not in dataset: {missing[:5]}")
     else:
-        x, _, ids = training.prepare_inputs(test_shapes, trainer.model.k)
-        vecs = trainer.extract(x)
+        x, _, ids = training.prepare_inputs(test_shapes, model.k)
+        vecs = model.extract(x)
 
     id_labels = np.array([labels[i] for i in ids])
-    if trainer is not None:
+    if model is not None:
         with engine.no_grad():
-            logits = trainer.model.head_logits(vecs).data
-        preds = np.array(
-            [evaluation.classify(l, trainer.model.n_classes) for l in logits]
-        )
+            logits = model.head_logits(vecs).data
+        preds = np.array([evaluation.classify(l, model.n_classes) for l in logits])
         summary["accuracy"] = evaluation.accuracy(preds, id_labels)
 
     results = evaluation.leave_one_out_retrieval(ids, vecs, list(id_labels))

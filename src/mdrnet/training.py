@@ -189,6 +189,16 @@ class Model:
         flat = engine.reshape(feats, (b, t, ch * fh * fw))
         return engine.mean_axis(flat, axis=1)
 
+    def extract(self, x):
+        """Forward-only latents for (n, 3k, D, D) inputs, in batches of 64:
+        (n, 1024) float64, each value widened exactly from the float32
+        forward, so descriptor files and retrieval stay float64."""
+        out = np.empty((len(x), DESCRIPTOR_DIM))
+        with engine.no_grad():
+            for start in range(0, len(x), 64):
+                out[start : start + 64] = self.latent(x[start : start + 64]).data
+        return out
+
     def head_logits(self, latent):
         """(B, 1024) latents, an array or Tensor -> (B, N+1) logits in
         adversarial modes (the extra class marks a descriptor as too
@@ -427,15 +437,9 @@ class Trainer:
     # -- inference ---------------------------------------------------------
 
     def extract(self, x):
-        """Forward-only latents for (n, 3k, D, D) inputs, in batches of 64:
-        (n, 1024) float64, each value widened exactly from the float32
-        forward, so descriptor files and retrieval stay float64."""
+        """`Model.extract`, after dropping the latent a `d_step` left pending."""
         self._latent = None
-        out = np.empty((len(x), DESCRIPTOR_DIM))
-        with engine.no_grad():
-            for start in range(0, len(x), 64):
-                out[start : start + 64] = self.model.latent(x[start : start + 64]).data
-        return out
+        return self.model.extract(x)
 
     # -- checkpointing -----------------------------------------------------
 
@@ -452,41 +456,54 @@ class Trainer:
 
     @classmethod
     def restore(cls, data, config: TrainConfig | None = None):
-        """Rebuild a trainer from `save` bytes.
-
-        A count out of range, a config differing in mode or k, a layout id
-        other than that of this program's `param_shapes` table, or a value
-        count other than three times the table's size is a NetworkError
-        raised before any array is allocated. Each parameter and Adam
-        moment is then one owned copy of its float32 values, which
-        `build_model` and `Adam` adopt: nothing is drawn from the RNG or
-        zero-filled only to be overwritten."""
-        (mode_id, n_classes, k, epoch, t_gen, t_head, layout), values = network.load_records(data)
-        if mode_id >= len(MODES) or n_classes < 2 or k < 1:
-            raise NetworkError(f"checkpoint counts out of range: mode id {mode_id}, {n_classes} classes, k {k}")
-        if config is None:
-            config = TrainConfig(mode=MODES[mode_id], k=k)
-        for name, saved, given in (("mode", MODES[mode_id], config.mode), ("k", k, config.k)):
-            if saved != given:
-                raise NetworkError(f"checkpoint {name} is {saved!r} but the config has {given!r}")
-        shapes = param_shapes(config.mode, n_classes)
-        if layout != _layout_id(shapes):
-            raise NetworkError(f"checkpoint layout id {layout:08x} is not this program's for {config.mode} "
-                               f"with {n_classes} classes")
-        stored = [*shapes.values()] * 3  # parameters, first moments, second moments
-        sizes = [math.prod(shape) for shape in stored]
-        if len(values) != sum(sizes):
-            raise NetworkError(f"checkpoint holds {len(values)} values, not {sum(sizes)}")
-        parts = np.split(values, np.cumsum(sizes)[:-1])
-        arrays = [np.array(part.reshape(shape), PARAM_DTYPE) for part, shape in zip(parts, stored)]
-        n = len(shapes)
-        params, m, v = arrays[:n], arrays[n : 2 * n], arrays[2 * n :]
-        model = build_model(config.mode, n_classes, config.k, params=dict(zip(shapes, params)))
+        """Rebuild a trainer from `save` bytes, checked by `_read_checkpoint`;
+        Adam adopts an owned copy of each moment and zero-fills none."""
+        config, model, epoch, t_gen, t_head, moments = _read_checkpoint(data, config)
+        m, v = [next(moments) for _ in model.params], list(moments)
         g = len(model.gen_tensors())
         trainer = cls.__new__(cls)
         trainer._start(config, model, AdamState(m[:g], v[:g], t_gen), AdamState(m[g:], v[g:], t_head))
         trainer.epoch = epoch
         return trainer
+
+
+def _read_checkpoint(data, config=None):
+    """The one reader of `Trainer.save` bytes: (config, model, epoch, the
+    two Adam step counts, an iterator of owned copies of the moments).
+
+    A count out of range, a config differing in mode or k, a layout id
+    other than that of this program's `param_shapes` table, or a value
+    count other than three times the table's size is a NetworkError
+    raised before any array is allocated. Each parameter is then one
+    owned copy of its float32 values, which `build_model` adopts: nothing
+    is drawn from the RNG. Each moment is copied only when it is iterated."""
+    (mode_id, n_classes, k, epoch, t_gen, t_head, layout), values = network.load_records(data)
+    if mode_id >= len(MODES) or n_classes < 2 or k < 1:
+        raise NetworkError(f"checkpoint counts out of range: mode id {mode_id}, {n_classes} classes, k {k}")
+    if config is None:
+        config = TrainConfig(mode=MODES[mode_id], k=k)
+    for name, saved, given in (("mode", MODES[mode_id], config.mode), ("k", k, config.k)):
+        if saved != given:
+            raise NetworkError(f"checkpoint {name} is {saved!r} but the config has {given!r}")
+    shapes = param_shapes(config.mode, n_classes)
+    if layout != _layout_id(shapes):
+        raise NetworkError(f"checkpoint layout id {layout:08x} is not this program's for {config.mode} "
+                           f"with {n_classes} classes")
+    stored = [*shapes.values()] * 3  # parameters, first moments, second moments
+    sizes = [math.prod(shape) for shape in stored]
+    if len(values) != sum(sizes):
+        raise NetworkError(f"checkpoint holds {len(values)} values, not {sum(sizes)}")
+    parts = np.split(values, np.cumsum(sizes)[:-1])
+    arrays = (np.array(part.reshape(shape), PARAM_DTYPE) for part, shape in zip(parts, stored))
+    model = build_model(config.mode, n_classes, config.k, params={name: next(arrays) for name in shapes})
+    return config, model, epoch, t_gen, t_head, arrays
+
+
+def restore_model(data) -> Model:
+    """The model of `Trainer.save` bytes, for inference: checked as
+    `Trainer.restore` checks them, its parameters owned copies; no Adam
+    state is built and no moment is copied."""
+    return _read_checkpoint(data)[1]
 
 
 def metrics_csv(metrics) -> str:

@@ -204,6 +204,28 @@ class TestTrainExtractEval:
             outs.append(p.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_inference_builds_no_trainer_or_adam_state(self, dataset_dir, run_dir, tmp_path, monkeypatch):
+        """With a trainer's restore and every Adam type refused, `extract`
+        and `eval --checkpoint` still write the bytes of an unrefused run."""
+        from mdrnet import engine, training
+
+        def run(out):
+            out.mkdir()
+            given = ["--checkpoint", str(run_dir / "checkpoint.mdrnet"), "--data", str(dataset_dir)]
+            assert main(["extract", *given, "--split", "all", "--out", str(out / "all.ddsd")]) == 0
+            assert main(["eval", *given, "--out", str(out / "eval")]) == 0
+            return read_tree(out)
+
+        plain = run(tmp_path / "plain")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("inference built a trainer or its Adam state")
+
+        for owner, name in ((training.Trainer, "restore"), (engine, "Adam"), (engine, "AdamState"),
+                            (training, "Adam"), (training, "AdamState")):
+            monkeypatch.setattr(owner, name, refuse)
+        assert run(tmp_path / "refused") == plain
+
     def test_eval_descriptor_file_collapsed_classes(self, dataset_dir, tmp_path):
         # hand-built descriptors: one point per class -> mAP = 1
         from mdrnet import network, voxel

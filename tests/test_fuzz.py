@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from mdrnet import network
 from mdrnet.network import DESCRIPTOR_DIM, NetworkError, load_descriptors
 from mdrnet.training import (LSTM_MODES, MODES, ConfigError, TrainConfig, Trainer, _layout_id, param_shapes,
-                             parse_config)
+                             parse_config, restore_model)
 from mdrnet.voxel import (BinvoxError, DatasetError, VoxelGrid, generate_synthetic, load_binvox,
                           load_dataset, save_binvox)
 
@@ -63,7 +63,7 @@ def test_load_binvox_structured(data):
 
 
 # ---------------------------------------------------------------------------
-# checkpoints: `network.load_records` as `Trainer.restore` reads it
+# checkpoints: `network.load_records` as `Trainer.restore` and `restore_model` read it
 
 
 @st.composite
@@ -85,11 +85,23 @@ def checkpoint_like(draw):
 
 
 def check_restore(data):
-    try:
-        trainer = Trainer.restore(data)
-    except (NetworkError, ConfigError):
+    """Both entry points of the checkpoint reader accept or refuse `data`
+    alike, with the same error; an accepted file saves back unchanged and
+    gives both the same parameters."""
+    restored = []
+    for restore in (Trainer.restore, restore_model):
+        try:
+            restored.append(restore(data))
+        except (NetworkError, ConfigError) as e:
+            restored.append(e)
+    trainer, model = restored
+    if isinstance(trainer, Exception) or isinstance(model, Exception):
+        assert (type(trainer), str(trainer)) == (type(model), str(model))
         return
     assert trainer.save() == bytes(data)
+    params = trainer.model.named_tensors()
+    assert list(model.params) == list(params)
+    assert all(np.array_equal(t.data, params[name].data) for name, t in model.params.items())
 
 
 @FUZZ
@@ -101,6 +113,7 @@ def test_load_records_arbitrary_bytes(data):
 
 @FUZZ
 @given(checkpoint_like())
+@example(Trainer(TrainConfig(mode="cnn_only", seed=7), 4).save())  # one file both entry points accept
 def test_load_records_structured(data):
     check_restore(data)
 

@@ -373,7 +373,149 @@ class TestSharedForward:
         assert all(t.grad is None for t in tr.model.named_tensors().values())
 
 
-class TestCheckpoint:
+def restored_arrays(restored):
+    """{name: array} of every array a restore returns, named as
+    `checkpoint_parts` names them: a model's parameters, and a trainer's
+    Adam moments besides."""
+    if not isinstance(restored, Trainer):
+        return {name: t.data for name, t in restored.params.items()}
+    arrays = restored_arrays(restored.model)
+    names = list(arrays)  # the generator's, then the head's, as the two optimizers hold them
+    for key in ("m", "v"):
+        held = getattr(restored.opt_gen.state, key) + getattr(restored.opt_head.state, key)
+        arrays.update({f"/opt/{name}.{key}": a for name, a in zip(names, held)})
+    return arrays
+
+
+class RestoreChecks:
+    """The checks of the one checkpoint reader, run by each class below
+    through its entry point `restore`, which keeps `parts_held` of the
+    file's three parts: parameters, first moments, second moments."""
+
+    def assert_restores(self, data, restored):
+        """Each array of `restored` is an owned, writable, C-contiguous
+        float32 copy of its part of the `Trainer.save` bytes `data`."""
+        _, parts = checkpoint_parts(data)
+        arrays = restored_arrays(restored)
+        assert len(arrays) == self.parts_held * len(parts) // 3
+        for name, a in arrays.items():
+            assert np.array_equal(a.ravel(), parts[name]), name
+            assert a.dtype == np.float32 and a.flags.writeable and a.flags.c_contiguous and a.flags.owndata
+        if isinstance(restored, Trainer):
+            assert restored.save() == data
+
+    # Each fault a format-3 record could hold, by the name format 3 gave it,
+    # where the fault can still be written: a count out of range, a header
+    # cut short, a wrong layout id, and values missing, misshapen or extra,
+    # which leave too few or too many values. Each is refused before the
+    # model is built.
+    @pytest.mark.parametrize("name, value", [
+        ("/meta/mode_id", 9),
+        ("/meta/mode_id", 4),
+        ("/meta/mode_id", 2**32 - 1),
+        ("/meta/n_classes", 0),
+        ("/meta/n_classes", 1),
+        ("/meta/n_classes", 2**32 - 1),  # the layout of that many classes differs
+        ("/meta/k", 0),
+        ("/meta/layout_id", 0),
+        ("/meta/k", None),
+        ("/opt/gen.t", None),
+        ("/opt/head.t", None),
+        ("/opt/gen.enc0.w.m", None),
+        ("gen.enc0.w", None),
+        ("gen.lstm.w_x", "full"),  # with its Adam moments, from a model of that mode
+        ("/opt/head.fc0.b.v", np.zeros(3)),
+        ("gen.enc0.b", np.zeros(3)),
+        ("/meta/layout_id", None),
+        ("gen.extra", np.zeros(1)),  # one value too many
+        ("gen.enc0.b", np.zeros(31)),  # one value too few
+    ])
+    def test_bad_record_rejected(self, name, value, monkeypatch):
+        data = Trainer(TrainConfig(mode="cnn_only", seed=7), N_CLASSES).save()
+        if isinstance(value, str):
+            _, other = checkpoint_parts(Trainer(TrainConfig(mode=value, seed=7), N_CLASSES).save())
+            for added in (name, f"/opt/{name}.m", f"/opt/{name}.v"):
+                data = edited_checkpoint(data, added, other[added])
+        else:
+            data = edited_checkpoint(data, name, value)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("build_model ran before the checkpoint was checked")
+
+        monkeypatch.setattr(training, "build_model", refuse)
+        with pytest.raises(NetworkError, match="out of range|layout id|values, not"):
+            self.restore(data)
+
+    def test_restore_does_not_alias_its_input(self):
+        x, y, _ = small_batch(4)
+        tr = Trainer(TrainConfig(mode="cnn_only", batch_size=4, seed=2), N_CLASSES)
+        tr.train_epoch(x, y)
+        data = tr.save()
+        buf = bytearray(data)
+        restored = self.restore(buf)
+        buf[:] = b"\xff" * len(buf)  # every float32 of the file a NaN
+        self.assert_restores(data, restored)
+
+    def test_restore_fills_the_built_model_in_place(self, monkeypatch):
+        x, y, _ = small_batch(4)
+        tr = Trainer(TrainConfig(mode="cnn_rnn", batch_size=4, seed=2), N_CLASSES)
+        tr.train_epoch(x, y)
+        built, build = [], training.build_model
+
+        def recording(*args, **kwargs):
+            model = build(*args, **kwargs)
+            built.append({name: t.data for name, t in model.named_tensors().items()})
+            return model
+
+        monkeypatch.setattr(training, "build_model", recording)
+        restored = self.restore(tr.save())
+        assert len(built) == 1
+        trained = tr.model.named_tensors()
+        for name, t in getattr(restored, "model", restored).named_tensors().items():
+            assert t.data is built[0][name]
+            assert np.array_equal(t.data, trained[name].data)
+
+    @pytest.mark.parametrize("mode", training.MODES)
+    def test_restore_draws_nothing_and_zero_fills_no_moment(self, mode, monkeypatch):
+        x, y, _ = small_batch(4)
+        tr = Trainer(TrainConfig(mode=mode, batch_size=4, seed=2), N_CLASSES)
+        tr.train_epoch(x, y)
+        data = tr.save()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("restore drew or zero-filled an array it overwrites")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        monkeypatch.setattr(engine.AdamState, "for_params", refuse)
+        self.assert_restores(data, self.restore(data))
+
+    def test_n_classes_checked_before_model_is_built(self, monkeypatch):
+        data = edited_checkpoint(Trainer(TrainConfig(mode="cnn_only", seed=7), N_CLASSES).save(),
+                                 "/meta/n_classes", 200_000)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("build_model ran before n_classes was checked")
+
+        monkeypatch.setattr(training, "build_model", refuse)
+        with pytest.raises(NetworkError, match="layout id .* for cnn_only with 200000 classes"):
+            self.restore(data)
+
+    def test_unexpected_record_refused_before_model_is_built(self, monkeypatch):
+        data = edited_checkpoint(Trainer(TrainConfig(mode="cnn_only", seed=7), N_CLASSES).save(),
+                                 "gen.extra", np.zeros(3, np.float32))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("build_model ran before the unexpected values were refused")
+
+        monkeypatch.setattr(training, "build_model", refuse)
+        n_values = 3 * sum(int(np.prod(s)) for s in training.param_shapes("cnn_only", N_CLASSES).values())
+        with pytest.raises(NetworkError, match=f"checkpoint holds {n_values + 3} values, not {n_values}"):
+            self.restore(data)
+
+
+class TestCheckpoint(RestoreChecks):
+    restore, parts_held = staticmethod(Trainer.restore), 3
+
     def test_save_restore_round_trip(self):
         x, y, _ = small_batch(4)
         tr = Trainer(TrainConfig(mode="full", batch_size=4, seed=2), N_CLASSES)
@@ -435,119 +577,22 @@ class TestCheckpoint:
         data = Trainer(TrainConfig(mode=mode, seed=7), N_CLASSES).save()
         assert hashlib.sha256(data).hexdigest() == digest
 
-    # Each fault a format-3 record could hold, by the name format 3 gave it,
-    # where the fault can still be written: a count out of range, a header
-    # cut short, a wrong layout id, and values missing, misshapen or extra,
-    # which leave too few or too many values. Each is refused before the
-    # model is built.
-    @pytest.mark.parametrize("name, value", [
-        ("/meta/mode_id", 9),
-        ("/meta/mode_id", 4),
-        ("/meta/mode_id", 2**32 - 1),
-        ("/meta/n_classes", 0),
-        ("/meta/n_classes", 1),
-        ("/meta/n_classes", 2**32 - 1),  # the layout of that many classes differs
-        ("/meta/k", 0),
-        ("/meta/layout_id", 0),
-        ("/meta/k", None),
-        ("/opt/gen.t", None),
-        ("/opt/head.t", None),
-        ("/opt/gen.enc0.w.m", None),
-        ("gen.enc0.w", None),
-        ("gen.lstm.w_x", "full"),  # with its Adam moments, from a model of that mode
-        ("/opt/head.fc0.b.v", np.zeros(3)),
-        ("gen.enc0.b", np.zeros(3)),
-        ("/meta/layout_id", None),
-        ("gen.extra", np.zeros(1)),  # one value too many
-        ("gen.enc0.b", np.zeros(31)),  # one value too few
-    ])
-    def test_bad_record_rejected(self, name, value, monkeypatch):
-        data = Trainer(TrainConfig(mode="cnn_only", seed=7), N_CLASSES).save()
-        if isinstance(value, str):
-            _, other = checkpoint_parts(Trainer(TrainConfig(mode=value, seed=7), N_CLASSES).save())
-            for added in (name, f"/opt/{name}.m", f"/opt/{name}.v"):
-                data = edited_checkpoint(data, added, other[added])
-        else:
-            data = edited_checkpoint(data, name, value)
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("build_model ran before the checkpoint was checked")
+class TestRestoreModel(RestoreChecks):
+    restore, parts_held = staticmethod(training.restore_model), 1
 
-        monkeypatch.setattr(training, "build_model", refuse)
-        with pytest.raises(NetworkError, match="out of range|layout id|values, not"):
-            Trainer.restore(data)
-
-    def test_restored_trainer_does_not_alias_its_input(self):
-        x, y, _ = small_batch(4)
-        tr = Trainer(TrainConfig(mode="cnn_only", batch_size=4, seed=2), N_CLASSES)
-        tr.train_epoch(x, y)
-        data = tr.save()
-        buf = bytearray(data)
-        restored = Trainer.restore(buf)
-        buf[:] = bytes(len(buf))
-        assert restored.save() == data
-
-    def test_restore_fills_the_built_model_in_place(self, monkeypatch):
-        x, y, _ = small_batch(4)
-        tr = Trainer(TrainConfig(mode="cnn_rnn", batch_size=4, seed=2), N_CLASSES)
-        tr.train_epoch(x, y)
-        built, build = [], training.build_model
-
-        def recording(*args, **kwargs):
-            model = build(*args, **kwargs)
-            built.append({name: t.data for name, t in model.named_tensors().items()})
-            return model
-
-        monkeypatch.setattr(training, "build_model", recording)
-        restored = Trainer.restore(tr.save())
-        assert len(built) == 1
-        trained = tr.model.named_tensors()
-        for name, t in restored.model.named_tensors().items():
-            assert t.data is built[0][name]
-            assert np.array_equal(t.data, trained[name].data)
-
-
-    @pytest.mark.parametrize("mode", training.MODES)
-    def test_restore_draws_nothing_and_zero_fills_no_moment(self, mode, monkeypatch):
-        x, y, _ = small_batch(4)
-        tr = Trainer(TrainConfig(mode=mode, batch_size=4, seed=2), N_CLASSES)
-        tr.train_epoch(x, y)
-        data = tr.save()
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("restore drew or zero-filled an array it overwrites")
-
-        monkeypatch.setattr(np.random, "default_rng", refuse)
-        monkeypatch.setattr(engine.AdamState, "for_params", refuse)
-        restored = Trainer.restore(data)
-        assert restored.save() == data
-        for opt in (restored.opt_gen, restored.opt_head):
-            for p, m, v in zip(opt.params, opt.state.m, opt.state.v):
-                for a in (p.data, m, v):
-                    assert a.flags.writeable and a.flags.c_contiguous and a.flags.owndata
-
-    def test_n_classes_checked_before_model_is_built(self, monkeypatch):
-        data = edited_checkpoint(Trainer(TrainConfig(mode="cnn_only", seed=7), N_CLASSES).save(),
-                                 "/meta/n_classes", 200_000)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("build_model ran before n_classes was checked")
-
-        monkeypatch.setattr(training, "build_model", refuse)
-        with pytest.raises(NetworkError, match="layout id .* for cnn_only with 200000 classes"):
-            Trainer.restore(data)
-
-    def test_unexpected_record_refused_before_model_is_built(self, monkeypatch):
-        data = edited_checkpoint(Trainer(TrainConfig(mode="cnn_only", seed=7), N_CLASSES).save(),
-                                 "gen.extra", np.zeros(3, np.float32))
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("build_model ran before the unexpected values were refused")
-
-        monkeypatch.setattr(training, "build_model", refuse)
-        n_values = 3 * sum(int(np.prod(s)) for s in training.param_shapes("cnn_only", N_CLASSES).values())
-        with pytest.raises(NetworkError, match=f"checkpoint holds {n_values + 3} values, not {n_values}"):
-            Trainer.restore(data)
+    def test_copies_only_the_parameters(self):
+        """The parameters are a third of a checkpoint; the moments, two
+        thirds, are neither copied nor held."""
+        data = Trainer(TrainConfig(mode="full", seed=7), N_CLASSES).save()
+        tracemalloc.start()
+        try:
+            model = training.restore_model(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert model.mode == "full" and model.n_classes == N_CLASSES
+        assert peak < 0.4 * len(data), f"traced {peak / 1e6:.1f} MB of a {len(data) / 1e6:.1f} MB checkpoint"
 
 
 class TestMetricsCsv:

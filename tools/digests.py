@@ -19,9 +19,10 @@ digits of the SHA-256 of
 - the DDSD bytes of `Trainer.extract` over one batch of 64 shapes
   (`build_synthetic_dataset(SYNTHETIC_CLASSES, 16, 3)`, all splits, a
   seed-7 `full` model): 576 slices per encoder conv, so `enc0`-`enc2`
-  each run several row blocks. The trainer restored from that model's own
-  checkpoint must give the same bytes: the script exits non-zero, naming
-  the check, where it does not;
+  each run several row blocks. The trainer that `Trainer.restore` and the
+  model that `restore_model` rebuild from that model's own checkpoint must
+  each give the same bytes: the script exits non-zero, naming the check,
+  where one does not;
 - every file of the CLI recipe: `dataset-synth --per-class 8 --seed 3`
   (its binvox files), `mdr-export --images` of its `pyramid_0003` shape at
   `--k 3` and at `--k 5`, `train` (`mode = full`, `seed = 7`,
@@ -87,9 +88,11 @@ def extract_digest():
     trainer = training.Trainer(training.TrainConfig(mode="full", seed=7), len(dataset.classes))
     table = network.save_descriptors(ids, trainer.extract(x))
     print(f"extract  {len(ids)} shapes in one batch {short(table)}")
-    restored = network.save_descriptors(ids, training.Trainer.restore(trainer.save()).extract(x))
-    if restored != table:
-        sys.exit(f"extract: the trainer restored from its own checkpoint gives {short(restored)}, not {short(table)}")
+    data = trainer.save()
+    for name, restore in (("Trainer.restore", training.Trainer.restore), ("restore_model", training.restore_model)):
+        again = network.save_descriptors(ids, restore(data).extract(x))
+        if again != table:
+            sys.exit(f"extract: {name} of the model's own checkpoint gives {short(again)}, not {short(table)}")
 
 
 def run(argv):
